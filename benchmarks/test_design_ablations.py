@@ -12,10 +12,11 @@ asserted:
 
 import numpy as np
 
-from repro.core import CamE, CamEConfig, OneToNTrainer
+from repro.core import CamE, CamEConfig
 from repro.datasets import build_features
 from repro.eval import evaluate_ranking
 from repro.experiments import get_prepared
+from repro.train import OneToNObjective, TrainingEngine
 
 from conftest import publish
 
@@ -23,9 +24,9 @@ from conftest import publish
 def _train_eval(mkg, feats, cfg, epochs, seed=1):
     rng = np.random.default_rng(seed)
     model = CamE(mkg.num_entities, mkg.num_relations, feats, cfg, rng=rng)
-    trainer = OneToNTrainer(model, mkg.split, rng, lr=cfg.learning_rate,
-                            batch_size=128)
-    trainer.fit(epochs, eval_every=max(epochs // 3, 1), eval_max_queries=100)
+    engine = TrainingEngine(model, mkg.split, rng, OneToNObjective(batch_size=128),
+                            lr=cfg.learning_rate)
+    engine.fit(epochs, eval_every=max(epochs // 3, 1), eval_max_queries=100)
     return evaluate_ranking(model, mkg.split, part="test", max_queries=200,
                             rng=np.random.default_rng(2))
 

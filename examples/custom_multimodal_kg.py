@@ -12,10 +12,11 @@ loading your own biological data.
 
 import numpy as np
 
-from repro.core import CamE, CamEConfig, OneToNTrainer
+from repro.core import CamE, CamEConfig
 from repro.datasets import MultimodalKG, build_features
 from repro.kg import KnowledgeGraph, Vocabulary, split_triples
 from repro.mol import MoleculeGenerator, scaffold_by_name
+from repro.train import OneToNObjective, TrainingEngine
 
 
 def build_toy_kg(rng: np.random.Generator) -> MultimodalKG:
@@ -88,7 +89,8 @@ def main() -> None:
                             fusion_dim=16, fusion_height=4, fusion_width=4,
                             conv_channels=8),
                  rng=rng)
-    OneToNTrainer(model, mkg.split, rng, lr=5e-3, batch_size=16).fit(60)
+    TrainingEngine(model, mkg.split, rng, OneToNObjective(batch_size=16),
+                   lr=5e-3).fit(60)
 
     # Ask: what does Oxacillin treat?  (The KG only says Pneumonia for
     # Oxacillin; a good model should also surface Sepsis by analogy with

@@ -15,9 +15,10 @@ import argparse
 
 import numpy as np
 
-from repro.core import CamE, CamEConfig, OneToNTrainer
+from repro.core import CamE, CamEConfig
 from repro.datasets import build_features, get_dataset
 from repro.eval import build_filter
+from repro.train import OneToNObjective, TrainingEngine
 
 
 def main() -> None:
@@ -34,7 +35,8 @@ def main() -> None:
     feats = build_features(mkg, rng, d_m=24, d_t=24, d_s=24)
     model = CamE(mkg.num_entities, mkg.num_relations, feats,
                  CamEConfig(entity_dim=48, relation_dim=48), rng=rng)
-    OneToNTrainer(model, mkg.split, rng, lr=1e-3, batch_size=128).fit(args.epochs)
+    TrainingEngine(model, mkg.split, rng, OneToNObjective(batch_size=128),
+                   lr=1e-3).fit(args.epochs)
 
     graph = mkg.graph
     treats = graph.relations.id("treats")

@@ -10,9 +10,10 @@ import argparse
 
 import numpy as np
 
-from repro.core import CamE, CamEConfig, OneToNTrainer
+from repro.core import CamE, CamEConfig
 from repro.datasets import build_features, get_dataset
 from repro.eval import evaluate_ranking
+from repro.train import OneToNObjective, TrainingEngine
 
 
 def main() -> None:
@@ -41,10 +42,10 @@ def main() -> None:
     model = CamE(mkg.num_entities, mkg.num_relations, feats, config, rng=rng)
     print(f"model   : CamE with {model.num_parameters():,} parameters")
 
-    trainer = OneToNTrainer(model, mkg.split, rng, lr=config.learning_rate,
-                            batch_size=128)
-    report = trainer.fit(args.epochs, eval_every=max(args.epochs // 3, 1),
-                         eval_max_queries=100, verbose=True)
+    engine = TrainingEngine(model, mkg.split, rng, OneToNObjective(batch_size=128),
+                            lr=config.learning_rate)
+    report = engine.fit(args.epochs, eval_every=max(args.epochs // 3, 1),
+                        eval_max_queries=100, verbose=True)
     print(f"trained : final loss {report.final_loss:.4f}, "
           f"{report.mean_epoch_seconds:.2f}s/epoch")
 

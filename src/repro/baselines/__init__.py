@@ -2,11 +2,11 @@
 
 Unimodal: TransE, DistMult, ComplEx, ConvE, CompGCN, RotatE/a-RotatE,
 DualE, PairRE.  Multimodal: IKRL, MTAKGR, TransAE, MKGformer
-(M-Encoder).  Plus the shared negative-sampling trainer and a registry
-that pairs each model with the training regime the paper used.
+(M-Encoder).  Plus a registry that pairs each model with the training
+regime the paper used (a :class:`repro.train.TrainingEngine` objective).
 """
 
-from .base import EmbeddingModel, NegativeSamplingTrainer, TripleScoringModel
+from .base import EmbeddingModel
 from .complex_ import ComplEx
 from .compgcn_lp import CompGCNLinkPredictor
 from .conve import ConvE
@@ -23,8 +23,6 @@ from .transe import TransE
 
 __all__ = [
     "EmbeddingModel",
-    "NegativeSamplingTrainer",
-    "TripleScoringModel",
     "TransE",
     "DistMult",
     "ComplEx",

@@ -1,29 +1,30 @@
 """Shared infrastructure for the baseline KG-completion models.
 
 Two training regimes cover all baselines, matching the original codes
-the paper used; both run on the unified
-:class:`repro.train.TrainingEngine` with a pluggable objective:
+the paper used; both run on the one :class:`repro.train.TrainingEngine`
+with a pluggable objective:
 
-* :class:`NegativeSamplingTrainer` (shim over
-  :class:`repro.train.NegativeSamplingObjective`) — the RotatE-codebase
+* :class:`repro.train.NegativeSamplingObjective` — the RotatE-codebase
   regime (TransE / DistMult / ComplEx / RotatE / a-RotatE / PairRE /
   DualE and the multimodal translational models): positive triples vs
   sampled corruptions under the log-sigmoid loss, optionally with
-  self-adversarial negative weighting (Sun et al., 2019).
-* :class:`repro.core.trainer.OneToNTrainer` (shim over
-  :class:`repro.train.OneToNObjective`) — the ConvE regime (ConvE,
+  self-adversarial negative weighting (Sun et al., 2019).  Models
+  implement ``triple_scores(triples) -> Tensor``.
+* :class:`repro.train.OneToNObjective` — the ConvE regime (ConvE,
   CompGCN, MKGformer and CamE itself): 1-to-N scoring with BCE.
+  Models implement ``score_queries(heads, rels, candidates=None)``.
 
+:func:`repro.baselines.build_model` pairs each model with its regime.
 Every model exposes ``predict_tails(heads, rels) -> (B, num_entities)``
-so the evaluation protocol treats all of them identically.  All models
-allocate ``2x`` relation embeddings for inverse relations and are
-trained on inverse-augmented triples, so head-side queries rank through
-``r + num_relations``.
+float64 scores so the evaluation protocol treats all of them
+identically.  All models allocate ``2x`` relation embeddings for inverse
+relations and are trained on inverse-augmented triples, so head-side
+queries rank through ``r + num_relations``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -33,15 +34,9 @@ from .. import nn
 # — autograd off, dropout/batch-norm in eval mode — so the pattern
 # ``CamE.predict_tails`` established cannot drift.
 from ..nn import inference_mode
-from ..kg import KGSplit, NegativeSampler
-from ..eval import RankingEvaluator
-from ..train import NegativeSamplingObjective, TrainingEngine
-from ..train.report import TrainReport
 
 __all__ = [
-    "TripleScoringModel",
     "EmbeddingModel",
-    "NegativeSamplingTrainer",
     "inference_mode",
     "chunked_entity_scores",
 ]
@@ -52,7 +47,6 @@ def chunked_entity_scores(
     num_entities: int,
     dim: int,
     block_fn: Callable[[int, int], np.ndarray],
-    dtype: np.dtype | type | None = None,
     budget: int = 4_000_000,
 ) -> np.ndarray:
     """Fill a ``(num_queries, num_entities)`` score matrix chunk by chunk.
@@ -61,26 +55,14 @@ def chunked_entity_scores(
     per candidate chunk; ``budget`` caps that intermediate's element
     count so memory stays bounded at DRKG-MM scale (~100k entities).
     ``block_fn(start, stop)`` returns the scores for candidate columns
-    ``[start, stop)``; ``dtype`` selects the inference precision
-    (``float32`` halves score-matrix memory on large evals).
+    ``[start, stop)``.
     """
-    out = np.empty((num_queries, num_entities),
-                   dtype=np.float64 if dtype is None else dtype)
+    out = np.empty((num_queries, num_entities))
     chunk = max(1, budget // max(1, num_queries * dim))
     for start in range(0, num_entities, chunk):
         stop = min(num_entities, start + chunk)
         out[:, start:stop] = block_fn(start, stop)
     return out
-
-
-class TripleScoringModel(Protocol):
-    """Structural type for negative-sampling trainable models."""
-
-    def triple_scores(self, triples: np.ndarray) -> nn.Tensor: ...  # pragma: no cover
-
-    def predict_tails(self, heads: np.ndarray, rels: np.ndarray) -> np.ndarray: ...  # pragma: no cover
-
-    def parameters(self): ...  # pragma: no cover
 
 
 class EmbeddingModel(nn.Module):
@@ -102,11 +84,6 @@ class EmbeddingModel(nn.Module):
     to score explicit triples without materialising ``(B, E)`` rows.
     Models that set neither are served through the exact full-row path.
     """
-
-    #: Dtype ``predict_tails`` allocates score matrices in.  ``None``
-    #: keeps float64 (exact parity with training math); set to
-    #: ``np.float32`` for the inference fast path on large entity sets.
-    inference_dtype: np.dtype | type | None = None
 
     #: ANN index metric this model ranks under (``"l1"`` / ``"l2"`` /
     #: ``"ip"``), or ``None`` when approximate candidate generation is
@@ -173,102 +150,3 @@ class EmbeddingModel(nn.Module):
             self.relation_embedding(triples[:, 1]),
             self.entity_embedding(triples[:, 2]),
         )
-
-
-class NegativeSamplingTrainer:
-    """Log-sigmoid loss over positive triples and sampled corruptions.
-
-    ``loss = -logsig(f(pos)) - sum_i w_i * logsig(-f(neg_i))`` where
-    ``w`` is uniform, or the softmax of negative scores when
-    ``self_adversarial`` is on (the a-RotatE / PairRE setting).
-
-    A thin shim over :class:`repro.train.TrainingEngine` with a
-    :class:`repro.train.NegativeSamplingObjective`, preserving the
-    original constructor/``fit`` surface and bit-identical seeded
-    behaviour.  New code should construct the engine directly.
-    """
-
-    def __init__(self, model, split: KGSplit, rng: np.random.Generator,
-                 lr: float = 0.01, batch_size: int = 256,
-                 num_negatives: int = 8, self_adversarial: bool = False,
-                 adversarial_temperature: float = 1.0,
-                 bernoulli: bool = False, grad_clip: float = 5.0) -> None:
-        self.engine = TrainingEngine(
-            model, split, rng,
-            NegativeSamplingObjective(
-                batch_size=batch_size, num_negatives=num_negatives,
-                self_adversarial=self_adversarial,
-                adversarial_temperature=adversarial_temperature,
-                bernoulli=bernoulli),
-            lr=lr, grad_clip=grad_clip,
-        )
-
-    # Everything below delegates; the shim holds no training state.
-    @property
-    def model(self):
-        return self.engine.model
-
-    @property
-    def split(self) -> KGSplit:
-        return self.engine.split
-
-    @property
-    def rng(self) -> np.random.Generator:
-        return self.engine.rng
-
-    @property
-    def grad_clip(self) -> float:
-        return self.engine.grad_clip
-
-    @property
-    def optimizer(self):
-        return self.engine.optimizer
-
-    @property
-    def batch_size(self) -> int:
-        return self.engine.objective.batch_size
-
-    @property
-    def num_negatives(self) -> int:
-        return self.engine.objective.num_negatives
-
-    @property
-    def self_adversarial(self) -> bool:
-        return self.engine.objective.self_adversarial
-
-    @property
-    def adversarial_temperature(self) -> float:
-        return self.engine.objective.adversarial_temperature
-
-    @property
-    def train_triples(self) -> np.ndarray:
-        return self.engine.train_triples
-
-    @property
-    def sampler(self) -> NegativeSampler:
-        return self.engine.sampler
-
-    @property
-    def evaluator(self) -> RankingEvaluator:
-        """Shared filtered-ranking evaluator (filter built on first use)."""
-        return self.engine.evaluator
-
-    def train_epoch(self) -> float:
-        """One pass over the (inverse-augmented) training triples."""
-        return self.engine.train_epoch()
-
-    def fit(self, epochs: int, eval_every: int | None = None,
-            eval_part: str = "valid", eval_max_queries: int | None = 200,
-            eval_batch_size: int = 128,
-            keep_best: bool = True, verbose: bool = False) -> TrainReport:
-        """Train for ``epochs`` with the same reporting as OneToNTrainer.
-
-        As there, the ranking filter is built once per engine and every
-        epoch eval shares it; ``eval_batch_size`` bounds the per-call
-        score blocks.
-        """
-        return self.engine.fit(epochs, eval_every=eval_every,
-                               eval_part=eval_part,
-                               eval_max_queries=eval_max_queries,
-                               eval_batch_size=eval_batch_size,
-                               keep_best=keep_best, verbose=verbose)

@@ -82,9 +82,6 @@ class CompGCNLinkPredictor(nn.Module):
         scores = F.reshape(F.matmul(cand, F.reshape(query, (b, -1, 1))), (b, k))
         return F.add(scores, F.index(self.entity_bias, candidates))
 
-    #: See :attr:`repro.baselines.base.EmbeddingModel.inference_dtype`.
-    inference_dtype: np.dtype | type | None = None
-
     def predict_tails(self, heads: np.ndarray, rels: np.ndarray) -> np.ndarray:
         with inference_mode(self):
             if self._cached is None:
@@ -97,7 +94,4 @@ class CompGCNLinkPredictor(nn.Module):
                 self._cached = (ent.data.copy(), rel.data.copy())
             ent, rel = self._cached
             query = ent[heads] * rel[rels]
-            scores = query @ ent.T + self.entity_bias.data
-            if self.inference_dtype is not None:
-                scores = scores.astype(self.inference_dtype, copy=False)
-            return scores
+            return query @ ent.T + self.entity_bias.data

@@ -46,10 +46,7 @@ class ComplEx(EmbeddingModel):
         with inference_mode(self):
             ent = self.entity_embedding.weight.data
             query = self.ann_queries(heads, rels)
-            scores = np.einsum("bd,bd->b", query, ent[np.asarray(tails, np.int64)])
-            if self.inference_dtype is not None:
-                scores = scores.astype(self.inference_dtype, copy=False)
-            return scores
+            return np.einsum("bd,bd->b", query, ent[np.asarray(tails, np.int64)])
 
     @staticmethod
     def _split(x: nn.Tensor) -> tuple[nn.Tensor, nn.Tensor]:
@@ -78,7 +75,4 @@ class ComplEx(EmbeddingModel):
             e_re, e_im = ent[:, :d], ent[:, d:]
             q_re = h_re * r_re - h_im * r_im
             q_im = h_re * r_im + h_im * r_re
-            scores = q_re @ e_re.T + q_im @ e_im.T
-            if self.inference_dtype is not None:
-                scores = scores.astype(self.inference_dtype, copy=False)
-            return scores
+            return q_re @ e_re.T + q_im @ e_im.T

@@ -42,10 +42,7 @@ class DistMult(EmbeddingModel):
         with inference_mode(self):
             ent = self.entity_embedding.weight.data
             query = self.ann_queries(heads, rels)
-            scores = np.einsum("bd,bd->b", query, ent[np.asarray(tails, np.int64)])
-            if self.inference_dtype is not None:
-                scores = scores.astype(self.inference_dtype, copy=False)
-            return scores
+            return np.einsum("bd,bd->b", query, ent[np.asarray(tails, np.int64)])
 
     def triple_scores(self, triples: np.ndarray) -> nn.Tensor:
         h, r, t = self._gather(triples)
@@ -67,7 +64,4 @@ class DistMult(EmbeddingModel):
         with inference_mode(self):
             ent = self.entity_embedding.weight.data
             rel = self.relation_embedding.weight.data
-            scores = (ent[heads] * rel[rels]) @ ent.T
-            if self.inference_dtype is not None:
-                scores = scores.astype(self.inference_dtype, copy=False)
-            return scores
+            return (ent[heads] * rel[rels]) @ ent.T

@@ -116,7 +116,4 @@ class DualE(EmbeddingModel):
             c2 = _hamilton_np(comps_h[4:], q_r)
             out_d = tuple(a + b for a, b in zip(c1, c2))
             query = np.concatenate(out_r + out_d, axis=1)   # (B, 8d)
-            scores = query @ ent.T
-            if self.inference_dtype is not None:
-                scores = scores.astype(self.inference_dtype, copy=False)
-            return scores
+            return query @ ent.T

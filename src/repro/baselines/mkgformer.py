@@ -106,12 +106,6 @@ class MKGformer(nn.Module):
         scores = F.reshape(F.matmul(cand, F.reshape(query, (b, -1, 1))), (b, k))
         return F.add(scores, F.index(self.entity_bias, candidates))
 
-    #: See :attr:`repro.baselines.base.EmbeddingModel.inference_dtype`.
-    inference_dtype: np.dtype | type | None = None
-
     def predict_tails(self, heads: np.ndarray, rels: np.ndarray) -> np.ndarray:
         with nn.inference_mode(self):
-            scores = self.score_queries(heads, rels).data
-            if self.inference_dtype is not None:
-                scores = scores.astype(self.inference_dtype, copy=False)
-            return scores
+            return self.score_queries(heads, rels).data

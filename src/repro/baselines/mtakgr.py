@@ -68,5 +68,4 @@ class MTAKGR(EmbeddingModel):
 
             return chunked_entity_scores(len(heads), self.num_entities,
                                          self.dim, block,
-                                         dtype=self.inference_dtype,
                                          budget=2_000_000)

@@ -47,5 +47,4 @@ class PairRE(EmbeddingModel):
                 tails = ent[start:stop][None, :, :] * rel[:, None, d:]
                 return self.gamma - np.abs(query[:, None, :] - tails).sum(axis=-1)
 
-            return chunked_entity_scores(len(heads), self.num_entities, d, block,
-                                         dtype=self.inference_dtype)
+            return chunked_entity_scores(len(heads), self.num_entities, d, block)

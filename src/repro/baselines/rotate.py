@@ -62,10 +62,7 @@ class RotatE(EmbeddingModel):
             tails = np.asarray(tails, dtype=np.int64)
             dr = rot_re - ent[tails, :d]
             di = rot_im - ent[tails, d:]
-            scores = self.gamma - np.sqrt(dr * dr + di * di + 1e-9).sum(axis=-1)
-            if self.inference_dtype is not None:
-                scores = scores.astype(self.inference_dtype, copy=False)
-            return scores
+            return self.gamma - np.sqrt(dr * dr + di * di + 1e-9).sum(axis=-1)
 
     def _unit_rotation(self, rels: np.ndarray) -> tuple[nn.Tensor, nn.Tensor]:
         """Unit-modulus rotation components for a relation id batch.
@@ -108,5 +105,4 @@ class RotatE(EmbeddingModel):
                 return self.gamma - np.sqrt(dr * dr + di * di + 1e-9).sum(axis=-1)
 
             return chunked_entity_scores(len(heads), self.num_entities, d, block,
-                                         dtype=self.inference_dtype,
                                          budget=2_000_000)

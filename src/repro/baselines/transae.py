@@ -56,7 +56,7 @@ class TransAE(EmbeddingModel):
         """TransE score on encoded entities, minus weighted recon error.
 
         Folding the reconstruction term into the score lets the generic
-        :class:`~repro.baselines.base.NegativeSamplingTrainer` optimise
+        :class:`~repro.train.NegativeSamplingObjective` optimise
         both objectives without a bespoke loop: the subtraction pushes
         the score of *positives* up only when reconstruction is good.
         """
@@ -80,5 +80,4 @@ class TransAE(EmbeddingModel):
                 return self.gamma - diff.sum(-1)
 
             return chunked_entity_scores(len(heads), self.num_entities,
-                                         self.dim, block,
-                                         dtype=self.inference_dtype)
+                                         self.dim, block)

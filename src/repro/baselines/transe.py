@@ -40,10 +40,7 @@ class TransE(EmbeddingModel):
         with inference_mode(self):
             ent = self.entity_embedding.weight.data
             query = self.ann_queries(heads, rels)
-            scores = self.gamma - np.abs(query - ent[np.asarray(tails, np.int64)]).sum(axis=-1)
-            if self.inference_dtype is not None:
-                scores = scores.astype(self.inference_dtype, copy=False)
-            return scores
+            return self.gamma - np.abs(query - ent[np.asarray(tails, np.int64)]).sum(axis=-1)
 
     def triple_scores(self, triples: np.ndarray) -> nn.Tensor:
         h, r, t = self._gather(triples)
@@ -62,5 +59,4 @@ class TransE(EmbeddingModel):
 
             # Chunk over candidates to bound the (B, C, d) intermediate.
             return chunked_entity_scores(len(heads), self.num_entities,
-                                         self.dim, block,
-                                         dtype=self.inference_dtype)
+                                         self.dim, block)

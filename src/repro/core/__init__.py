@@ -3,9 +3,10 @@
 The TCA operator (:mod:`repro.core.tca`), exchanging fusion
 (:mod:`repro.core.exchange`), the MMF and RIC modules
 (:mod:`repro.core.mmf`, :mod:`repro.core.ric`), the assembled CamE model
-(:mod:`repro.core.came`), its configuration/ablation switches
-(:mod:`repro.core.config`) and the 1-to-N trainer
-(:mod:`repro.core.trainer`).
+(:mod:`repro.core.came`) and its configuration/ablation switches
+(:mod:`repro.core.config`).  CamE trains through
+:class:`repro.train.TrainingEngine` with a
+:class:`repro.train.OneToNObjective` (Eqn. 16, 1-to-N BCE).
 """
 
 from .came import CamE, reshape_to_2d_shape
@@ -14,7 +15,6 @@ from .exchange import ExchangeFusion
 from .mmf import MultimodalTCAFusion, SimpleFusion
 from .ric import RelationInteractiveTCA
 from .tca import TCAHead, TCAOperator
-from .trainer import OneToNTrainer, TrainReport
 
 __all__ = [
     "CamE",
@@ -26,6 +26,4 @@ __all__ = [
     "MultimodalTCAFusion",
     "SimpleFusion",
     "RelationInteractiveTCA",
-    "OneToNTrainer",
-    "TrainReport",
 ]

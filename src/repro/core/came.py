@@ -30,8 +30,9 @@ Assembles the paper's architecture (Fig. 2):
   the prose reading above is the consistent one.
 
 Training uses 1-to-many scoring with the Bernoulli NLL of Eqn. 16
-(:func:`repro.nn.functional.bce_with_logits`), implemented in
-:mod:`repro.core.trainer`.
+(:func:`repro.nn.functional.bce_with_logits`), implemented by
+:class:`repro.train.OneToNObjective` and run by
+:class:`repro.train.TrainingEngine`.
 """
 
 from __future__ import annotations
@@ -261,13 +262,7 @@ class CamE(nn.Module):
         bias = F.index(self.entity_bias, candidates)
         return F.add(scores, bias)
 
-    #: See :attr:`repro.baselines.base.EmbeddingModel.inference_dtype`.
-    inference_dtype: np.dtype | type | None = None
-
     def predict_tails(self, heads: np.ndarray, rels: np.ndarray) -> np.ndarray:
         """Inference-mode scores over all entities (used by evaluation)."""
         with nn.inference_mode(self):
-            scores = self.score_queries(heads, rels).data
-            if self.inference_dtype is not None:
-                scores = scores.astype(self.inference_dtype, copy=False)
-            return scores
+            return self.score_queries(heads, rels).data

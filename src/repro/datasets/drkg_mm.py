@@ -26,6 +26,7 @@ experiments measure:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -116,6 +117,25 @@ def _weighted_choice(candidates: np.ndarray, weights: np.ndarray,
     return int(rng.choice(candidates, p=w / total))
 
 
+def _unused_name(draw: Callable[[], str], space: frozenset[str],
+                 used: set[str]) -> str:
+    """Redraw until the name is unused; number it once ``space`` is used up.
+
+    The fallback draws nothing from the generator's rng, so every config
+    whose name space never runs out yields exactly the names it always
+    did.
+    """
+    name = draw()
+    while name in used:
+        if space <= used:
+            n = 2
+            while f"{name} {n}" in used:
+                n += 1
+            return f"{name} {n}"
+        name = draw()
+    return name
+
+
 def generate_drkg_mm(config: DRKGConfig | None = None) -> MultimodalKG:
     """Build the synthetic DRKG-MM dataset.
 
@@ -159,9 +179,8 @@ def generate_drkg_mm(config: DRKGConfig | None = None) -> MultimodalKG:
     genes: list[int] = []
     for g in range(cfg.num_genes):
         fam = int(gene_families[g])
-        symbol = lexicon.gene_symbol(fam, rng)
-        while symbol in used_names:
-            symbol = lexicon.gene_symbol(fam, rng)
+        symbol = _unused_name(lambda: lexicon.gene_symbol(fam, rng),
+                              lexicon.gene_symbol_space(fam), used_names)
         used_names.add(symbol)
         idx = entities.add(symbol)
         genes.append(idx)
@@ -174,9 +193,8 @@ def generate_drkg_mm(config: DRKGConfig | None = None) -> MultimodalKG:
     diseases: list[int] = []
     for d in range(cfg.num_diseases):
         fam = int(disease_families[d])
-        name = lexicon.disease_name(fam, rng)
-        while name in used_names:
-            name = lexicon.disease_name(fam, rng)
+        name = _unused_name(lambda: lexicon.disease_name(fam, rng),
+                            lexicon.disease_name_space(fam), used_names)
         used_names.add(name)
         idx = entities.add(name)
         diseases.append(idx)

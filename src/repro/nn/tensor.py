@@ -21,13 +21,19 @@ The design follows the classic "define-by-run" tape:
 
 from __future__ import annotations
 
+import contextvars
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 __all__ = ["Tensor", "Parameter", "unbroadcast", "no_grad", "is_grad_enabled"]
 
-_GRAD_ENABLED = [True]
+#: Grad mode lives in a context variable, not a module global: every
+#: thread (and asyncio task) sees its own flag, so a ``no_grad`` block on
+#: one thread can never switch autograd off for another, whatever order
+#: overlapping blocks exit in.
+_GRAD_ENABLED: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "repro_grad_enabled", default=True)
 
 
 class no_grad:
@@ -35,21 +41,21 @@ class no_grad:
 
     Inside the context, operations still compute values but never attach
     backward closures, which makes pure-inference code paths (evaluation,
-    ranking over every candidate entity) dramatically cheaper.
+    ranking over every candidate entity) dramatically cheaper.  The
+    switch is local to the calling thread's context.
     """
 
     def __enter__(self) -> "no_grad":
-        self._prev = _GRAD_ENABLED[0]
-        _GRAD_ENABLED[0] = False
+        self._token = _GRAD_ENABLED.set(False)
         return self
 
     def __exit__(self, *exc_info) -> None:
-        _GRAD_ENABLED[0] = self._prev
+        _GRAD_ENABLED.reset(self._token)
 
 
 def is_grad_enabled() -> bool:
     """Return whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED[0]
+    return _GRAD_ENABLED.get()
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

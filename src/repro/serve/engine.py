@@ -73,9 +73,14 @@ def topk_indices(row: np.ndarray, k: int) -> np.ndarray:
     k = min(k, len(row), finite)
     if k <= 0:
         return np.empty(0, dtype=np.int64)
-    part = np.argpartition(-row, k - 1)[:k]
-    order = np.lexsort((part, -row[part]))
-    return part[order].astype(np.int64)
+    # A partition alone keeps an arbitrary member of a tie straddling
+    # the cut, so gather every id scoring at least the k-th best score
+    # and order only those by (score desc, id asc).
+    neg = -row
+    kth = np.partition(neg, k - 1)[k - 1]
+    cand = np.flatnonzero(neg <= kth)
+    order = np.lexsort((cand, neg[cand]))[:k]
+    return cand[order].astype(np.int64)
 
 
 class PredictionEngine:

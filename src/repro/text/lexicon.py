@@ -9,6 +9,8 @@ and side effects use plain clinical vocabulary.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 __all__ = [
@@ -17,7 +19,9 @@ __all__ = [
     "SIDE_EFFECTS",
     "drug_stem",
     "gene_symbol",
+    "gene_symbol_space",
     "disease_name",
+    "disease_name_space",
     "gene_description",
     "disease_description",
     "side_effect_description",
@@ -78,12 +82,27 @@ def gene_symbol(family_idx: int, rng: np.random.Generator) -> str:
     return f"{prefix}{int(rng.integers(1, 30))}{str(rng.choice(list('ABCD')))}"
 
 
+@cache
+def gene_symbol_space(family_idx: int) -> frozenset[str]:
+    """Every symbol :func:`gene_symbol` can return for ``family_idx``."""
+    prefix = GENE_FAMILIES[family_idx % len(GENE_FAMILIES)][0]
+    return frozenset(f"{prefix}{n}{c}" for n in range(1, 30) for c in "ABCD")
+
+
 def disease_name(family_idx: int, rng: np.random.Generator) -> str:
     """Disease name with a family-characteristic suffix, e.g. ``Nephritis``."""
     suffixes, _ = DISEASE_FAMILIES[family_idx % len(DISEASE_FAMILIES)]
     root = str(rng.choice(_DISEASE_ROOTS))
     suffix = str(rng.choice(list(suffixes)))
     return f"{root}{suffix}".capitalize()
+
+
+@cache
+def disease_name_space(family_idx: int) -> frozenset[str]:
+    """Every name :func:`disease_name` can return for ``family_idx``."""
+    suffixes, _ = DISEASE_FAMILIES[family_idx % len(DISEASE_FAMILIES)]
+    return frozenset(f"{root}{suffix}".capitalize()
+                     for root in _DISEASE_ROOTS for suffix in suffixes)
 
 
 def gene_description(family_idx: int, symbol: str) -> str:

@@ -15,9 +15,7 @@ cross-cutting features are :class:`Callback` hooks:
 * :class:`MetricsCallback` — progress onto a ``repro.obs`` registry;
 * :class:`BundleExport` — ``repro.serve`` checkpoint bundle at fit end.
 
-``repro.core.OneToNTrainer`` and
-``repro.baselines.NegativeSamplingTrainer`` are thin shims over this
-package preserving their original APIs; see DESIGN.md §8.
+There is no other training loop; see DESIGN.md §8.
 """
 
 from .callbacks import (

@@ -8,10 +8,10 @@ cross-cutting feature (timing, eval history, best-state checkpointing,
 early stopping, LR schedules, JSONL telemetry, bundle export) is a
 :class:`~repro.train.callbacks.Callback`.
 
-``repro.core.OneToNTrainer`` and
-``repro.baselines.NegativeSamplingTrainer`` are thin shims over this
-engine that preserve their original constructor/``fit`` signatures and
-bit-identical seeded behaviour (golden parity test in ``tests/train``).
+It is the only training loop: CamE and every baseline train by
+constructing it with an objective.  A golden parity test in
+``tests/train`` pins its seeded losses, metrics and best state bit for
+bit.
 """
 
 from __future__ import annotations

@@ -3,8 +3,7 @@
 Audited properties (the ``inference_mode`` contract shared via
 ``baselines.base``): dropout and batch-norm run in eval mode (so
 repeated calls are deterministic), the model's training flag is
-restored afterwards, batch-norm running statistics are untouched, and
-the optional ``inference_dtype`` fast path controls the score dtype.
+restored afterwards, and batch-norm running statistics are untouched.
 """
 
 import numpy as np
@@ -68,22 +67,6 @@ class TestPredictTailsInferenceMode:
             np.testing.assert_array_equal(after[key], value, err_msg=key)
         if hasattr(model, "train"):
             model.train(False)
-
-    def test_inference_dtype_float32(self, models, name):
-        mkg, built = models
-        model = built[name]
-        if not hasattr(model, "inference_dtype"):
-            pytest.skip("model has no inference dtype knob")
-        heads = np.array([0, 1])
-        rels = np.array([0, 0])
-        baseline = model.predict_tails(heads, rels)
-        model.inference_dtype = np.float32
-        try:
-            fast = model.predict_tails(heads, rels)
-        finally:
-            model.inference_dtype = None
-        assert fast.dtype == np.float32
-        np.testing.assert_allclose(fast, baseline.astype(np.float32), rtol=1e-5)
 
 
 def test_inference_mode_restores_on_error():

@@ -1,17 +1,17 @@
-"""Model registry and the negative-sampling trainer."""
+"""Model registry and negative-sampling training through the engine."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import (
     MODEL_REGISTRY,
-    NegativeSamplingTrainer,
     TransE,
     build_model,
     get_spec,
     model_names,
 )
 from repro.datasets import DRKGConfig, build_features, generate_drkg_mm
+from repro.train import NegativeSamplingObjective, TrainingEngine
 
 
 @pytest.fixture(scope="module")
@@ -66,12 +66,13 @@ class TestRegistry:
         assert trainer.batcher.negatives == 10
 
 
-class TestNegativeSamplingTrainer:
+class TestNegativeSamplingEngine:
     def test_loss_decreases(self, prepared):
         mkg, _ = prepared
         rng = np.random.default_rng(3)
         model = TransE(mkg.num_entities, mkg.num_relations, dim=16, rng=rng)
-        trainer = NegativeSamplingTrainer(model, mkg.split, rng, lr=0.02)
+        trainer = TrainingEngine(model, mkg.split, rng,
+                                 NegativeSamplingObjective(), lr=0.02)
         first = trainer.train_epoch()
         for _ in range(4):
             last = trainer.train_epoch()
@@ -81,15 +82,17 @@ class TestNegativeSamplingTrainer:
         mkg, _ = prepared
         rng = np.random.default_rng(3)
         model = TransE(mkg.num_entities, mkg.num_relations, dim=16, rng=rng)
-        trainer = NegativeSamplingTrainer(model, mkg.split, rng, lr=0.02,
-                                          self_adversarial=True)
+        trainer = TrainingEngine(
+            model, mkg.split, rng,
+            NegativeSamplingObjective(self_adversarial=True), lr=0.02)
         assert np.isfinite(trainer.train_epoch())
 
     def test_fit_restores_best_state(self, prepared):
         mkg, _ = prepared
         rng = np.random.default_rng(3)
         model = TransE(mkg.num_entities, mkg.num_relations, dim=16, rng=rng)
-        trainer = NegativeSamplingTrainer(model, mkg.split, rng, lr=0.02)
+        trainer = TrainingEngine(model, mkg.split, rng,
+                                 NegativeSamplingObjective(), lr=0.02)
         report = trainer.fit(2, eval_every=1, eval_max_queries=20)
         assert report.best_state is not None
         assert len(report.eval_history) == 2
@@ -99,6 +102,7 @@ class TestNegativeSamplingTrainer:
         mkg, _ = prepared
         rng = np.random.default_rng(3)
         model = TransE(mkg.num_entities, mkg.num_relations, dim=8, rng=rng)
-        trainer = NegativeSamplingTrainer(model, mkg.split, rng)
+        trainer = TrainingEngine(model, mkg.split, rng,
+                                 NegativeSamplingObjective(), lr=0.01)
         assert len(trainer.train_triples) == 2 * len(mkg.split.train)
         assert trainer.train_triples[:, 1].max() >= mkg.num_relations

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import CamE, CamEConfig, OneToNTrainer, reshape_to_2d_shape
+from repro.core import CamE, CamEConfig, reshape_to_2d_shape
 from repro.datasets import DRKGConfig, build_features, generate_drkg_mm
+from repro.train import OneToNObjective, TrainingEngine
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +150,8 @@ class TestCamETraining:
         mkg, feats = prepared
         rng = np.random.default_rng(1)
         model = CamE(mkg.num_entities, mkg.num_relations, feats, TINY, rng=rng)
-        trainer = OneToNTrainer(model, mkg.split, rng, lr=3e-3, batch_size=64)
+        trainer = TrainingEngine(model, mkg.split, rng,
+                                 OneToNObjective(batch_size=64), lr=3e-3)
         first = trainer.train_epoch()
         for _ in range(3):
             last = trainer.train_epoch()
@@ -159,7 +161,8 @@ class TestCamETraining:
         mkg, feats = prepared
         rng = np.random.default_rng(1)
         model = CamE(mkg.num_entities, mkg.num_relations, feats, TINY, rng=rng)
-        trainer = OneToNTrainer(model, mkg.split, rng, lr=3e-3, batch_size=64)
+        trainer = TrainingEngine(model, mkg.split, rng,
+                                 OneToNObjective(batch_size=64), lr=3e-3)
         report = trainer.fit(3, eval_every=1, eval_max_queries=20)
         assert len(report.epoch_losses) == 3
         assert len(report.eval_history) == 3
@@ -170,7 +173,8 @@ class TestCamETraining:
         mkg, feats = prepared
         rng = np.random.default_rng(1)
         model = CamE(mkg.num_entities, mkg.num_relations, feats, TINY, rng=rng)
-        trainer = OneToNTrainer(model, mkg.split, rng, lr=3e-3,
-                                batch_size=32, negatives=20)
+        trainer = TrainingEngine(model, mkg.split, rng,
+                                 OneToNObjective(batch_size=32, negatives=20),
+                                 lr=3e-3)
         loss = trainer.train_epoch()
         assert np.isfinite(loss)

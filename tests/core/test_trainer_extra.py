@@ -1,11 +1,11 @@
-"""OneToNTrainer corner cases beyond the happy path."""
+"""TrainingEngine ``fit`` corner cases (1-to-N objective) beyond the happy path."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import DistMult
-from repro.core import OneToNTrainer
 from repro.datasets import DRKGConfig, generate_drkg_mm
+from repro.train import OneToNObjective, TrainingEngine
 
 
 @pytest.fixture(scope="module")
@@ -16,8 +16,8 @@ def mkg():
 def make_trainer(mkg, **kwargs):
     rng = np.random.default_rng(0)
     model = DistMult(mkg.num_entities, mkg.num_relations, dim=16, rng=rng)
-    return model, OneToNTrainer(model, mkg.split, rng, lr=0.01,
-                                batch_size=64, **kwargs)
+    return model, TrainingEngine(model, mkg.split, rng,
+                                 OneToNObjective(batch_size=64), lr=0.01, **kwargs)
 
 
 class TestFitBehaviour:

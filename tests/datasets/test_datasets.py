@@ -1,5 +1,7 @@
 """Synthetic dataset generators: schema, determinism, multimodal wiring."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,24 @@ class TestDRKG:
         other = generate_drkg_mm(cfg)
         base = generate_drkg_mm(SMALL_DRKG)
         assert other.graph.entities.names() != base.graph.entities.names()
+
+    def test_exhausted_name_space_still_returns(self):
+        # get_dataset("drkg-mm", scale=2, seed=9) uses up a disease
+        # family's whole name space before its last disease is named.
+        mkg = generate_drkg_mm(DRKGConfig(seed=7 + 9 * 1000).scaled(2.0))
+        names = mkg.graph.entities.names()
+        assert len(set(names)) == len(names) == mkg.num_entities
+
+    def test_scale_one_names_and_triples_pinned(self):
+        # Digest of get_dataset("drkg-mm", scale=1.0, seed=0) computed by
+        # a generator without the name-space fallback: configs that never
+        # exhaust a name space must keep generating the same graph.
+        mkg = generate_drkg_mm(DRKGConfig(seed=7).scaled(1.0))
+        digest = hashlib.sha256("\n".join(mkg.graph.entities.names()).encode())
+        for part in (mkg.split.train, mkg.split.valid, mkg.split.test):
+            digest.update(np.ascontiguousarray(part, dtype=np.int64).tobytes())
+        assert digest.hexdigest() == (
+            "037ee5fb0c607100de55f62d1b36d5d6dd155ddffc77740932d4dae83d3baac7")
 
     def test_long_tail_degrees(self, drkg):
         degrees = drkg.graph.entity_degrees()

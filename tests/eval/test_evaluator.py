@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 import repro.eval.evaluator as evaluator_module
-from repro.baselines import ConvE, TransE, NegativeSamplingTrainer
-from repro.core import OneToNTrainer
+from repro.baselines import ConvE, TransE
 from repro.eval import (
     RankingEvaluator,
     build_csr_filter,
@@ -22,6 +21,7 @@ from repro.eval import (
     evaluate_ranking,
 )
 from repro.kg import KGSplit, KnowledgeGraph, Vocabulary
+from repro.train import NegativeSamplingObjective, OneToNObjective, TrainingEngine
 
 
 def random_split(num_entities=40, num_relations=5, n_train=120, n_valid=25,
@@ -198,7 +198,8 @@ class TestFilterBuiltOncePerFit:
         split = random_split(seed=11)
         rng = np.random.default_rng(0)
         model = TransE(split.num_entities, split.num_relations, dim=8, rng=rng)
-        trainer = NegativeSamplingTrainer(model, split, rng)
+        trainer = TrainingEngine(model, split, rng, NegativeSamplingObjective(),
+                                 lr=0.01)
         trainer.fit(3, eval_every=1, eval_max_queries=10)
         assert counter.calls == 1
 
@@ -209,7 +210,7 @@ class TestFilterBuiltOncePerFit:
         rng = np.random.default_rng(0)
         model = ConvE(split.num_entities, split.num_relations, dim=9,
                       conv_channels=4, rng=rng)
-        trainer = OneToNTrainer(model, split, rng, batch_size=32)
+        trainer = TrainingEngine(model, split, rng, OneToNObjective(batch_size=32))
         trainer.fit(3, eval_every=1, eval_max_queries=10)
         assert counter.calls == 1
 
@@ -228,7 +229,8 @@ class TestEvalBatchSizeKnob:
         split = random_split(seed=14)
         rng = np.random.default_rng(0)
         model = TransE(split.num_entities, split.num_relations, dim=8, rng=rng)
-        trainer = NegativeSamplingTrainer(model, split, rng)
+        trainer = TrainingEngine(model, split, rng, NegativeSamplingObjective(),
+                                 lr=0.01)
         report = trainer.fit(1, eval_every=1, eval_max_queries=10,
                              eval_batch_size=4)
         assert len(report.eval_history) == 1

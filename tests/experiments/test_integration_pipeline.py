@@ -8,10 +8,11 @@ actually happens (trained model beats its untrained self).
 import numpy as np
 import pytest
 
-from repro.core import CamE, CamEConfig, OneToNTrainer
+from repro.core import CamE, CamEConfig
 from repro.datasets import build_features, get_dataset
 from repro.eval import evaluate_ranking
 from repro.nn import load_module, save_module
+from repro.train import OneToNObjective, TrainingEngine
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +21,11 @@ def pipeline():
     feats = build_features(mkg, np.random.default_rng(0), d_m=8, d_t=8, d_s=8,
                            gin_epochs=1, compgcn_epochs=2)
     return mkg, feats
+
+
+def train(model, split, rng, epochs):
+    TrainingEngine(model, split, rng, OneToNObjective(batch_size=64),
+                   lr=5e-3).fit(epochs)
 
 
 CFG = CamEConfig(entity_dim=16, relation_dim=16, fusion_dim=16,
@@ -33,7 +39,7 @@ class TestEndToEnd:
         model = CamE(mkg.num_entities, mkg.num_relations, feats, CFG, rng=rng)
         before = evaluate_ranking(model, mkg.split, part="valid",
                                   max_queries=40, rng=np.random.default_rng(2))
-        OneToNTrainer(model, mkg.split, rng, lr=5e-3, batch_size=64).fit(10)
+        train(model, mkg.split, rng, 10)
         after = evaluate_ranking(model, mkg.split, part="valid",
                                  max_queries=40, rng=np.random.default_rng(2))
         assert after.mrr > before.mrr
@@ -43,7 +49,7 @@ class TestEndToEnd:
         mkg, feats = pipeline
         rng = np.random.default_rng(1)
         model = CamE(mkg.num_entities, mkg.num_relations, feats, CFG, rng=rng)
-        OneToNTrainer(model, mkg.split, rng, lr=5e-3, batch_size=64).fit(2)
+        train(model, mkg.split, rng, 2)
         path = str(tmp_path / "came.npz")
         save_module(model, path)
         clone = CamE(mkg.num_entities, mkg.num_relations, feats, CFG,
@@ -60,7 +66,7 @@ class TestEndToEnd:
         def train_and_eval(cfg, seed=1):
             rng = np.random.default_rng(seed)
             model = CamE(mkg.num_entities, mkg.num_relations, feats, cfg, rng=rng)
-            OneToNTrainer(model, mkg.split, rng, lr=5e-3, batch_size=64).fit(15)
+            train(model, mkg.split, rng, 15)
             return evaluate_ranking(model, mkg.split, part="valid",
                                     max_queries=60,
                                     rng=np.random.default_rng(3)).mrr

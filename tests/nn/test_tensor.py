@@ -1,5 +1,7 @@
 """Autograd engine mechanics: graph recording, backward, modes."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,38 @@ class TestNoGrad:
         assert is_grad_enabled()
         with no_grad():
             assert not is_grad_enabled()
+        assert is_grad_enabled()
+
+    def test_overlapping_no_grad_on_two_threads(self):
+        # A enters, B enters, A exits, B exits: with a process-global
+        # save/restore flag B would restore A's "off" and leave autograd
+        # disabled for the whole process.
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def thread_a():
+            with no_grad():
+                a_in.set()
+                b_in.wait(5)
+            seen["a_after"] = is_grad_enabled()
+            a_out.set()
+
+        def thread_b():
+            a_in.wait(5)
+            with no_grad():
+                b_in.set()
+                a_out.wait(5)
+                seen["b_inside_after_a_exit"] = is_grad_enabled()
+            seen["b_after"] = is_grad_enabled()
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {"a_after": True, "b_inside_after_a_exit": False,
+                        "b_after": True}
         assert is_grad_enabled()
 
     def test_nested_no_grad(self):

@@ -77,6 +77,13 @@ class TestTopKIndices:
         row = np.full(6, 1.25)
         np.testing.assert_array_equal(topk_indices(row, 4), [0, 1, 2, 3])
         np.testing.assert_array_equal(topk_indices(row, 10), np.arange(6))
+        # Only the 10th and 11th best tie, straddling the cut; on this row
+        # argpartition alone keeps the higher id of the pair.
+        row = np.random.default_rng(2).permutation(416).astype(np.float64)
+        order = np.argsort(-row)
+        row[order[10]] = row[order[9]]
+        expected = np.lexsort((np.arange(len(row)), -row))[:10]
+        np.testing.assert_array_equal(topk_indices(row, 10), expected)
 
     def test_all_filtered_row_is_empty(self):
         row = np.full(5, -np.inf)

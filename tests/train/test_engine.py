@@ -1,10 +1,9 @@
-"""TrainingEngine construction, shim delegation, and report round-trips."""
+"""TrainingEngine construction, registry wiring, and report round-trips."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import DistMult, NegativeSamplingTrainer, build_model
-from repro.core import OneToNTrainer
+from repro.baselines import DistMult, build_model
 from repro.datasets import DRKGConfig, build_features, generate_drkg_mm
 from repro.eval import RankingMetrics
 from repro.train import (
@@ -79,37 +78,7 @@ class TestEngineSurface:
         assert calls == ["start", "start"]
 
 
-class TestShimDelegation:
-    def test_1ton_trainer_wraps_engine(self, mkg):
-        rng = np.random.default_rng(0)
-        model = DistMult(mkg.num_entities, mkg.num_relations, dim=16, rng=rng)
-        trainer = OneToNTrainer(model, mkg.split, rng, lr=0.01, batch_size=32,
-                                grad_clip=3.0)
-        assert isinstance(trainer.engine, TrainingEngine)
-        assert isinstance(trainer.engine.objective, OneToNObjective)
-        assert trainer.model is model
-        assert trainer.rng is rng
-        assert trainer.grad_clip == 3.0
-        assert trainer.optimizer is trainer.engine.optimizer
-        assert trainer.batcher is trainer.engine.batcher
-        assert trainer.evaluator is trainer.engine.evaluator
-
-    def test_neg_trainer_wraps_engine(self, mkg):
-        rng = np.random.default_rng(0)
-        model = DistMult(mkg.num_entities, mkg.num_relations, dim=16, rng=rng)
-        trainer = NegativeSamplingTrainer(model, mkg.split, rng, batch_size=64,
-                                          num_negatives=2,
-                                          self_adversarial=True,
-                                          adversarial_temperature=0.5)
-        objective = trainer.engine.objective
-        assert isinstance(objective, NegativeSamplingObjective)
-        assert trainer.batch_size == 64
-        assert trainer.num_negatives == 2
-        assert trainer.self_adversarial is True
-        assert trainer.adversarial_temperature == 0.5
-        assert trainer.sampler is objective.sampler
-        assert trainer.train_triples is objective.train_triples
-
+class TestBuildModel:
     def test_build_model_returns_engine(self, mkg, feats):
         rng = np.random.default_rng(0)
         _, engine = build_model("DistMult", mkg, feats, rng, dim=16)

@@ -1,8 +1,8 @@
 """Golden parity: the engine reproduces the pre-refactor loops bit for bit.
 
 ``tests/data/golden_train_parity.json`` was captured from the seed
-trainers *before* they became shims over :class:`TrainingEngine`.  These
-tests replay the exact same seeded runs through the refactored code and
+trainers *before* they were folded into :class:`TrainingEngine`.  These
+tests replay the exact same seeded runs through the engine and
 compare losses via ``repr`` (full float precision), metrics via their
 exact values, and the best state via per-array SHA-256 — any change in
 RNG consumption order or float accumulation fails loudly.
@@ -15,10 +15,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.baselines import NegativeSamplingTrainer
 from repro.baselines.conve import ConvE
 from repro.baselines.rotate import RotatE
-from repro.core import OneToNTrainer
 from repro.datasets import DRKGConfig, generate_drkg_mm
 from repro.train import NegativeSamplingObjective, OneToNObjective, TrainingEngine
 
@@ -59,20 +57,7 @@ def assert_trace_matches(report, expected):
 
 
 class TestOneToNParity:
-    def run_shim(self, mkg, spec):
-        rng = np.random.default_rng(spec["seed"])
-        model = ConvE(mkg.num_entities, mkg.num_relations, spec["dim"], rng=rng)
-        trainer = OneToNTrainer(model, mkg.split, rng, lr=spec["lr"],
-                                batch_size=spec["batch_size"])
-        return trainer.fit(spec["epochs"], eval_every=spec["eval_every"],
-                           eval_max_queries=spec["eval_max_queries"])
-
-    def test_shim_bit_identical(self, mkg, golden):
-        assert_trace_matches(self.run_shim(mkg, golden["conve_1ton"]),
-                             golden["conve_1ton"]["trace"])
-
     def test_engine_direct_bit_identical(self, mkg, golden):
-        # The same run driven through TrainingEngine directly, no shim.
         spec = golden["conve_1ton"]
         rng = np.random.default_rng(spec["seed"])
         model = ConvE(mkg.num_entities, mkg.num_relations, spec["dim"], rng=rng)
@@ -85,20 +70,6 @@ class TestOneToNParity:
 
 
 class TestNegativeSamplingParity:
-    def run_shim(self, mkg, spec):
-        rng = np.random.default_rng(spec["seed"])
-        model = RotatE(mkg.num_entities, mkg.num_relations, spec["dim_half"],
-                       rng=rng)
-        trainer = NegativeSamplingTrainer(model, mkg.split, rng, lr=spec["lr"],
-                                          batch_size=spec["batch_size"],
-                                          num_negatives=spec["num_negatives"])
-        return trainer.fit(spec["epochs"], eval_every=spec["eval_every"],
-                           eval_max_queries=spec["eval_max_queries"])
-
-    def test_shim_bit_identical(self, mkg, golden):
-        assert_trace_matches(self.run_shim(mkg, golden["rotate_neg"]),
-                             golden["rotate_neg"]["trace"])
-
     def test_engine_direct_bit_identical(self, mkg, golden):
         spec = golden["rotate_neg"]
         rng = np.random.default_rng(spec["seed"])
