@@ -163,8 +163,9 @@ def test_serve_throughput_and_shedding():
 
     # --- pool at 1 and N workers, same model via zero-copy replicas ---
     for workers in POOL_SIZES:
-        config = PoolConfig(workers=workers, cache_size=CACHE_SIZE)
-        pool = PoolServer(model, mkg.split, config, model_name="TransE")
+        engine = PredictionEngine(model, mkg.split, model_name="TransE",
+                                  cache_size=CACHE_SIZE)
+        pool = PoolServer(engine, PoolConfig(workers=workers))
         port = pool.start_background()
         try:
             run_load(port, clients=CLIENTS, per_client=5, queries=queries)
@@ -184,7 +185,8 @@ def test_serve_throughput_and_shedding():
     config = PoolConfig(workers=2, max_queue_depth=SATURATION_DEPTH,
                         request_delay=SATURATION_DELAY,
                         shed_retry_after=SATURATION_DELAY * SATURATION_DEPTH)
-    pool = PoolServer(model, mkg.split, config, model_name="TransE")
+    pool = PoolServer(PredictionEngine(model, mkg.split, model_name="TransE"),
+                      config)
     port = pool.start_background()
     try:
         saturation = run_load(port, clients=CLIENTS,

@@ -106,7 +106,8 @@ def main() -> int:
     enable_tracing(trace_path, flush_every=1)
 
     config = PoolConfig(workers=args.workers, health_interval=0.1)
-    server = PoolServer(model, mkg.split, config, model_name="TransE", ann=ann)
+    engine = PredictionEngine(model, mkg.split, model_name="TransE", ann=ann)
+    server = PoolServer(engine, config)
     port = server.start_background()
     print(f"pool serving on port {port} with {args.workers} workers; "
           f"spans -> {trace_path}(.w*)")

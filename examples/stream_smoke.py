@@ -10,7 +10,7 @@ Steps:
 
 1. build a TransE model plus an IVF ANN index, export a checkpoint
    bundle, and serve it with ``workers`` forked replica processes
-   (``PoolServer.from_bundle``);
+   (``PoolServer`` over ``PredictionEngine.from_bundle``);
 2. record baseline exact top-k predictions for a probe query on every
    replica;
 3. ``POST /append`` one unseen compound (name + description + molecular
@@ -41,7 +41,7 @@ import numpy as np
 from repro.baselines import build_model
 from repro.datasets import DRKGConfig, build_features, generate_drkg_mm
 from repro.pool import PoolConfig, PoolServer
-from repro.serve import load_bundle, save_bundle
+from repro.serve import PredictionEngine, load_bundle, save_bundle
 from repro.serve.ann import AnnServing
 
 
@@ -78,7 +78,7 @@ def main() -> int:
     save_bundle(bundle_dir, model, "TransE", mkg.split, feats, dim=16, ann=ann)
 
     config = PoolConfig(workers=args.workers, health_interval=0.1)
-    server = PoolServer.from_bundle(bundle_dir, config)
+    server = PoolServer(PredictionEngine.from_bundle(bundle_dir), config)
     port = server.start_background()
     print(f"pool serving bundle on port {port} with {args.workers} workers")
 

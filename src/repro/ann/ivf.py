@@ -43,9 +43,32 @@ from ..graph import build_csr
 from ..nn.quant import QUANT_MODES, QuantizedTable
 from .kmeans import kmeans
 
-__all__ = ["IVFIndex", "METRICS", "default_nlist", "default_nprobe"]
+__all__ = ["IVFIndex", "METRICS", "default_nlist", "default_nprobe",
+           "topk_indices"]
 
 METRICS = ("l2", "l1", "ip")
+
+
+def topk_indices(row: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` best scores, ties broken by ascending id.
+
+    Deterministic: equal scores always rank lower ids first, so serving
+    results are reproducible across processes.  ``-inf`` cells (filtered
+    known triples) are excluded even if fewer than ``k`` finite scores
+    remain.
+    """
+    finite = int(np.sum(row > -np.inf))
+    k = min(k, len(row), finite)
+    if k <= 0:
+        return np.empty(0, dtype=np.int64)
+    # A partition alone keeps an arbitrary member of a tie straddling
+    # the cut, so gather every id scoring at least the k-th best score
+    # and order only those by (score desc, id asc).
+    neg = -row
+    kth = np.partition(neg, k - 1)[k - 1]
+    cand = np.flatnonzero(neg <= kth)
+    order = np.lexsort((cand, neg[cand]))[:k]
+    return cand[order].astype(np.int64)
 
 
 def default_nlist(num_vectors: int) -> int:
@@ -191,24 +214,19 @@ class IVFIndex:
 
         Returns one ``(entity_ids, scores)`` pair per query, ordered by
         score descending with ties broken by ascending entity id — the
-        same contract as :func:`repro.serve.engine.topk_indices`.  Used
-        directly by tests and benchmarks; serving reranks through the
-        model instead.
+        same contract as :func:`topk_indices`.  Used directly by tests
+        and benchmarks; serving reranks through the model instead.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         nprobe = self.default_nprobe if nprobe is None else nprobe
         results = []
         for query, pos in zip(queries, self._probe_positions(queries, nprobe)):
+            # Ascending ids let topk_indices break score ties by id.
+            pos = pos[np.argsort(self.ids[pos], kind="stable")]
             cand_ids = self.ids[pos]
             vecs = self.table.gather(pos)
             scores = _metric_scores(self.metric, query[None], vecs)[0]
-            kk = min(k, len(cand_ids))
-            if kk <= 0:
-                results.append((np.empty(0, np.int64), np.empty(0)))
-                continue
-            part = np.argpartition(-scores, kk - 1)[:kk]
-            order = np.lexsort((cand_ids[part], -scores[part]))
-            sel = part[order]
+            sel = topk_indices(scores, k)
             results.append((cand_ids[sel].astype(np.int64), scores[sel]))
         return results
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor, is_grad_enabled, unbroadcast
+from .tensor import Tensor, unbroadcast
 
 __all__ = [
     "add", "sub", "mul", "div", "neg", "pow", "matmul", "exp", "log",
@@ -537,14 +537,8 @@ def batch_norm(
     return Tensor.make(out_data, (a, gamma, beta), backward)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
-            out: np.ndarray | None = None):
-    """Unfold ``(N, C, H, W)`` into ``(N, C*kh*kw, out_h*out_w)`` columns.
-
-    ``out``, when provided with the right shape/dtype, receives the
-    columns in place instead of allocating a fresh buffer — the Conv2d
-    inference fast path reuses one buffer per input shape this way.
-    """
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+    """Unfold ``(N, C, H, W)`` into ``(N, C*kh*kw, out_h*out_w)`` columns."""
     n, c, h, w = x.shape
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
@@ -557,8 +551,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
     )
     cols = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
     flat_shape = (n, c * kh * kw, out_h * out_w)
-    if out is None or out.shape != flat_shape or out.dtype != x.dtype:
-        out = np.empty(flat_shape, dtype=x.dtype)
+    out = np.empty(flat_shape, dtype=x.dtype)
     np.copyto(out.reshape(shape), cols)
     return out, out_h, out_w
 
@@ -580,28 +573,14 @@ def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int) 
     return x
 
 
-def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0,
-           col_cache: dict | None = None) -> Tensor:
-    """2-D cross-correlation: input ``(N,C,H,W)``, weight ``(F,C,kh,kw)``.
-
-    ``col_cache`` (a per-layer dict keyed on input shape) lets inference
-    reuse the im2col column buffer across calls.  It is consulted only
-    while autograd is off: with grad enabled the backward closure
-    captures ``cols``, so the buffer must stay private to this call.
-    """
+def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D cross-correlation: input ``(N,C,H,W)``, weight ``(F,C,kh,kw)``."""
     x, weight = _t(x), _t(weight)
     n, c, h, w = x.data.shape
     f, c2, kh, kw = weight.data.shape
     if c != c2:
         raise ValueError(f"conv2d channel mismatch: input has {c}, weight expects {c2}")
-    buffer = None
-    cache_key = None
-    if col_cache is not None and not is_grad_enabled():
-        cache_key = x.data.shape
-        buffer = col_cache.get(cache_key)
-    cols, out_h, out_w = _im2col(x.data, kh, kw, stride, padding, out=buffer)
-    if cache_key is not None:
-        col_cache[cache_key] = cols
+    cols, out_h, out_w = _im2col(x.data, kh, kw, stride, padding)
     w_mat = weight.data.reshape(f, -1)
     out = np.einsum("fk,nkl->nfl", w_mat, cols).reshape(n, f, out_h, out_w)
     parents = [x, weight]

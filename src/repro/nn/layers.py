@@ -76,19 +76,7 @@ class Embedding(Module):
 
 
 class Conv2d(Module):
-    """2-D convolution (cross-correlation), NCHW layout.
-
-    Holds a small per-input-shape im2col column-buffer cache that
-    :func:`repro.nn.functional.conv2d` reuses while autograd is off, so
-    all-entity inference (ranking evaluation) stops reallocating the
-    unfold buffer on every batch.  Training is unaffected: with grad
-    enabled the buffer is never shared because the backward closure owns
-    its columns.
-    """
-
-    #: Distinct input shapes cached before the cache resets; inference
-    #: sees at most a handful (full batch + remainder batch).
-    _COL_CACHE_LIMIT = 8
+    """2-D convolution (cross-correlation), NCHW layout."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, padding: int = 0, bias: bool = True,
@@ -100,13 +88,10 @@ class Conv2d(Module):
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         self.weight = Parameter(init.xavier_normal(shape, gen))
         self.bias = Parameter(np.zeros(out_channels)) if bias else None
-        self._col_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def forward(self, x: Tensor) -> Tensor:
-        if len(self._col_cache) > self._COL_CACHE_LIMIT:
-            self._col_cache.clear()
         return F.conv2d(x, self.weight, self.bias, stride=self.stride,
-                        padding=self.padding, col_cache=self._col_cache)
+                        padding=self.padding)
 
 
 class LayerNorm(Module):

@@ -1,12 +1,14 @@
 """Multi-replica serve tier: admission control, load-shedding, respawn.
 
 ``repro.pool`` scales :mod:`repro.serve` horizontally on one host: an
-asyncio front end (no model, no GIL-bound work) admits or sheds each
-request, then dispatches admitted work to N forked worker processes,
-each serving the stock :class:`~repro.serve.http.ServiceApp` over a
-read-only model replica mapped zero-copy from one shared ``FlatSpec``
-segment.  ``python -m repro.serve serve --pool N`` turns it on; pool 0
-is the original threaded server, byte-for-byte.
+asyncio front end (no scoring, no GIL-bound work) admits or sheds each
+request, then dispatches admitted work to N forked worker processes.
+``PoolServer(engine, config)`` serves one
+:class:`~repro.serve.PredictionEngine`; each worker serves a replica
+of it through the stock :class:`~repro.serve.http.ServiceApp`, over a
+read-only model mapped zero-copy from one shared ``FlatSpec`` segment.
+``python -m repro.serve serve --pool N`` turns it on; pool 0 is the
+original threaded server, byte-for-byte.
 """
 
 from .admission import (AdmissionController, AdmissionTicket, RateLimiter,

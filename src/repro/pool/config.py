@@ -2,7 +2,10 @@
 
 One frozen-ish dataclass so the CLI, tests and benchmarks configure the
 pool through the same named knobs.  Every timing knob is in seconds
-(the CLI converts from milliseconds where that reads better).
+(the CLI converts from milliseconds where that reads better).  What a
+worker serves (row-cache size, approximate-by-default, ANN index) is
+not configured here: workers copy it from the served
+:class:`~repro.serve.PredictionEngine`.
 """
 
 from __future__ import annotations
@@ -48,9 +51,6 @@ class PoolConfig:
     stats_timeout:
         How long ``/stats`` and ``/metrics`` wait for per-worker
         snapshots before reporting without the stragglers.
-    cache_size:
-        Per-worker :class:`~repro.serve.PredictionEngine` row-cache
-        capacity.
     request_delay:
         Test-only fault injection: every worker sleeps this many
         seconds before handling each request (deterministic deadline /
@@ -69,8 +69,6 @@ class PoolConfig:
     respawn: bool = True
     drain_timeout: float = 10.0
     stats_timeout: float = 2.0
-    cache_size: int = 512
-    approx_default: bool = False
     request_delay: float = field(default=0.0, repr=False)
 
     def __post_init__(self) -> None:

@@ -27,15 +27,16 @@ Failure behaviour (the matrix DESIGN.md §12 documents):
   stop workers, release the shared segment.
 
 ``POST /append`` (streaming, :mod:`repro.stream`) is handled in the
-parent, not dispatched: the parent model/vocabulary/filter grow first,
-then :meth:`ReplicaPool.republish` publishes a fresh shared segment
-from the grown model and rolls the workers onto it one generation
-forward — new workers spawn against the new segment, in-flight requests
-on the old generation drain (stragglers are requeued once, like a
-worker loss), and the old segment is released.  Replicas therefore pick
-up appends via generation-stamped republish; ``/healthz`` exposes the
-stream generation and per-replica generations so clients can watch the
-roll complete.
+parent, not dispatched: :func:`repro.stream.apply_append` grows the
+parent's :class:`~repro.serve.PredictionEngine` exactly as on the
+threaded tier, then :meth:`ReplicaPool.republish` publishes a fresh
+shared segment from the grown model and rolls the workers onto it one
+generation forward — new workers spawn against the new segment,
+in-flight requests on the old generation drain (stragglers are requeued
+once, like a worker loss), and the old segment is released.  Replicas
+therefore pick up appends via generation-stamped republish;
+``/healthz`` exposes the stream generation and per-replica generations
+so clients can watch the roll complete.
 
 ``/healthz`` reports per-replica liveness; ``/stats`` and ``/metrics``
 merge every worker's :class:`~repro.obs.MetricsRegistry` snapshot with
@@ -63,12 +64,10 @@ import time
 from http.client import responses as _REASONS
 from queue import Empty
 
-from .. import __version__
-from ..eval.evaluator import build_csr_filter
 from ..obs import (MetricsRegistry, SLOTracker, activate, current_traceparent,
                    get_tracer, parse_traceparent, render_prometheus, trace)
-from ..serve.ann import supports_ann
-from ..serve.http import MAX_BODY_BYTES
+from ..serve.engine import PredictionEngine
+from ..serve.http import MAX_BODY_BYTES, health_payload
 from .admission import AdmissionController, RateLimiter, format_retry_after
 from .config import PoolConfig
 from .worker import PoolWorkerContext, pool_worker_main
@@ -150,24 +149,14 @@ class WorkerHandle:
 class ReplicaPool:
     """Worker lifecycle + request dispatch for :class:`PoolServer`."""
 
-    def __init__(self, model, split, config: PoolConfig, *,
-                 model_name: str = "model", csr_filter=None, ann=None,
-                 bundle_version: int | None = None,
+    def __init__(self, engine: PredictionEngine, config: PoolConfig, *,
                  registry: MetricsRegistry | None = None) -> None:
         if "fork" not in mp.get_all_start_methods():
             raise RuntimeError(
                 "repro.pool needs the 'fork' start method; run the threaded "
                 "server (--pool 0) on this platform")
-        self.model = model
-        self.split = split
+        self.engine = engine
         self.config = config
-        self.model_name = model_name
-        self.ann = ann
-        self.bundle_version = bundle_version
-        # Built eagerly so every forked worker inherits it copy-on-write
-        # instead of paying its own CSR construction.
-        self.csr_filter = csr_filter if csr_filter is not None else \
-            build_csr_filter(split, ("train", "valid", "test"))
         self.metrics = registry if registry is not None else MetricsRegistry()
         self.handles: dict[int, WorkerHandle] = {}
         self.segment = None
@@ -204,7 +193,10 @@ class ReplicaPool:
         from .replica import publish_replica
 
         self._loop = loop
-        self.segment = publish_replica(self.model)
+        # Built before the first fork so every worker inherits the filter
+        # copy-on-write instead of paying its own CSR construction.
+        self.engine.filter
+        self.segment = publish_replica(self.engine.model)
         self._results = self._ctx.Queue()
         for rank in range(self.config.workers):
             self._spawn(rank)
@@ -224,13 +216,8 @@ class ReplicaPool:
         trace_path = (f"{tracer.path}.w{rank}"
                       if tracer.enabled and tracer.path else None)
         wctx = PoolWorkerContext(
-            rank=rank, model=self.model, split=self.split,
-            segment=self.segment, cmd=cmd, results=self._results,
-            model_name=self.model_name, csr_filter=self.csr_filter,
-            ann=self.ann, approx_default=self.config.approx_default,
-            bundle_version=self.bundle_version,
-            cache_size=self.config.cache_size,
-            request_delay=self.config.request_delay,
+            rank=rank, engine=self.engine, segment=self.segment, cmd=cmd,
+            results=self._results, request_delay=self.config.request_delay,
             trace_path=trace_path)
         proc = self._ctx.Process(target=pool_worker_main, args=(wctx,),
                                  daemon=True, name=f"repro-pool-{rank}")
@@ -239,6 +226,11 @@ class ReplicaPool:
         self.handles[rank] = handle
         self._g_alive.set(self.num_live())
         return handle
+
+    def liveness(self) -> list[dict]:
+        """One liveness row per replica, by rank."""
+        return [handle.liveness() for handle in
+                sorted(self.handles.values(), key=lambda h: h.rank)]
 
     def num_live(self) -> int:
         return sum(1 for h in self.handles.values()
@@ -250,22 +242,9 @@ class ReplicaPool:
     def stop(self) -> None:
         """Stop workers and release the segment; never blocks forever."""
         self._pump_stop.set()
-        for handle in self.handles.values():
-            try:
-                handle.cmd.put(("stop",))
-            except Exception:  # pragma: no cover - broken queue
-                pass
-        for handle in self.handles.values():
-            handle.proc.join(timeout=2.0)
-            if handle.proc.is_alive():  # pragma: no cover - hung worker
-                handle.proc.terminate()
-                handle.proc.join(timeout=1.0)
-            handle.alive = False
+        self._stop_workers(list(self.handles.values()))
         if self._pump is not None:
             self._pump.join(timeout=2.0)
-        for handle in self.handles.values():
-            handle.cmd.cancel_join_thread()
-            handle.cmd.close()
         if self._results is not None:
             self._results.cancel_join_thread()
             self._results.close()
@@ -278,6 +257,23 @@ class ReplicaPool:
             self._fail(pending, 503, _envelope(
                 "shutting_down", "pool stopped before the request completed"))
         self._pending.clear()
+
+    @staticmethod
+    def _stop_workers(handles: list[WorkerHandle]) -> None:
+        """Ask ``handles`` to stop, terminate stragglers, close their pipes."""
+        for handle in handles:
+            handle.alive = False
+            try:
+                handle.cmd.put(("stop",))
+            except Exception:  # pragma: no cover - broken queue
+                pass
+        for handle in handles:
+            handle.proc.join(timeout=2.0)
+            if handle.proc.is_alive():  # pragma: no cover - hung worker
+                handle.proc.terminate()
+                handle.proc.join(timeout=1.0)
+            handle.cmd.cancel_join_thread()
+            handle.cmd.close()
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -418,18 +414,25 @@ class ReplicaPool:
             logger.info("respawned pool worker %d (pid %s)",
                         replacement.rank, replacement.proc.pid)
         self._g_alive.set(self.num_live())
+        self._requeue_once(victims, f"worker {handle.rank} {reason}")
+
+    def _requeue_once(self, victims: list[_Pending], lost: str) -> None:
+        """Requeue requests lost with a worker onto a live one, once.
+
+        Control messages, requests already requeued once and requests
+        with no live worker left fail with ``503 worker_lost``.
+        """
         for pending in victims:
             self._pending.pop(pending.req_id, None)
+            if pending.future.done():
+                continue
             if pending.kind != "req":
-                self._fail(pending, 503, _envelope(
-                    "worker_lost", f"worker {handle.rank} {reason}"))
+                self._fail(pending, 503, _envelope("worker_lost", lost))
                 continue
             if pending.requeued:
                 self._c_lost.inc()
                 self._fail(pending, 503, _envelope(
-                    "worker_lost",
-                    f"worker {handle.rank} {reason} (request already "
-                    "requeued once)"))
+                    "worker_lost", f"{lost} (request already requeued once)"))
                 continue
             pending.requeued = True
             try:
@@ -437,7 +440,7 @@ class ReplicaPool:
             except NoLiveWorkers:
                 self._c_lost.inc()
                 self._fail(pending, 503, _envelope(
-                    "worker_lost", "no surviving replica workers"))
+                    "worker_lost", f"{lost}; no live replica workers left"))
                 continue
             self._pending[pending.req_id] = pending
             self._send(target, pending)
@@ -449,8 +452,8 @@ class ReplicaPool:
     async def republish(self) -> None:
         """Roll every worker onto a fresh segment of the (grown) model.
 
-        Called after the parent model/split/filter have adopted a
-        streaming append.  Sequence:
+        Called after the parent engine has adopted a streaming append.
+        Sequence:
 
         1. publish a new shared segment from the current parent model;
         2. spawn replacement workers (next generation) against it — the
@@ -469,7 +472,7 @@ class ReplicaPool:
         old_segment = self.segment
         old_handles = [h for h in self.handles.values() if h.alive]
         victims = [p for h in old_handles for p in h.inflight.values()]
-        self.segment = publish_replica(self.model)
+        self.segment = publish_replica(self.engine.model)
         for rank in list(self.handles):
             self._spawn(rank)  # replaces the handle; old one kept above
         self._c_republishes.inc()
@@ -480,61 +483,24 @@ class ReplicaPool:
         while (any(not p.future.done() for p in victims)
                and time.monotonic() < deadline):
             await asyncio.sleep(0.01)
-        for handle in old_handles:
-            handle.alive = False
-            try:
-                handle.cmd.put(("stop",))
-            except Exception:  # pragma: no cover - broken queue
-                pass
-        for handle in old_handles:
-            handle.proc.join(timeout=2.0)
-            if handle.proc.is_alive():  # pragma: no cover - hung worker
-                handle.proc.terminate()
-                handle.proc.join(timeout=1.0)
-            handle.cmd.cancel_join_thread()
-            handle.cmd.close()
+        self._stop_workers(old_handles)
         if old_segment is not None:
             old_segment.close()
         self._g_alive.set(self.num_live())
         # Stragglers lost with their worker: requeue once onto the new
         # generation, mirroring the worker-death policy.
-        for pending in victims:
-            if pending.future.done():
-                continue
-            self._pending.pop(pending.req_id, None)
-            if pending.kind != "req":
-                self._fail(pending, 503, _envelope(
-                    "worker_lost", "worker rolled during republish"))
-                continue
-            if pending.requeued:
-                self._c_lost.inc()
-                self._fail(pending, 503, _envelope(
-                    "worker_lost", "request lost across a republish roll "
-                    "(already requeued once)"))
-                continue
-            pending.requeued = True
-            try:
-                target = self._pick_worker()
-            except NoLiveWorkers:
-                self._c_lost.inc()
-                self._fail(pending, 503, _envelope(
-                    "worker_lost", "no live replica workers after republish"))
-                continue
-            self._pending[pending.req_id] = pending
-            self._send(target, pending)
-            self._c_requeues.inc()
+        self._requeue_once(victims, "worker rolled during republish")
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     async def gather_worker_stats(self) -> list[dict]:
         """Per-worker liveness + metrics snapshots (stragglers skipped)."""
-        rows, waits = [], []
-        for handle in sorted(self.handles.values(), key=lambda h: h.rank):
-            row = handle.liveness()
+        rows, waits = self.liveness(), []
+        for row in rows:
             if row["alive"]:
-                waits.append((row, self.send_control(handle, "stats")))
-            rows.append(row)
+                waits.append((row, self.send_control(
+                    self.handles[row["rank"]], "stats")))
         for row, pending in waits:
             try:
                 snapshot, engine = await asyncio.wait_for(
@@ -549,40 +515,25 @@ class ReplicaPool:
 class PoolServer:
     """The serve tier: asyncio HTTP front end over a :class:`ReplicaPool`.
 
+    ``engine`` is the served bundle's one
+    :class:`~repro.serve.PredictionEngine` (usually
+    ``PredictionEngine.from_bundle``): every worker serves a
+    :meth:`~repro.serve.PredictionEngine.replica` of it, ``POST /append``
+    grows it, and the front end's metrics share its registry.
+
     Lifecycle: ``await serve(host, port)`` on an event loop (the CLI
     path, with SIGTERM wired to a graceful drain), or
     ``start_background()`` to run the loop on a daemon thread (tests
     and benchmarks).  ``request_shutdown(drain=True)`` is thread-safe.
     """
 
-    def __init__(self, model, split, config: PoolConfig, *,
-                 model_name: str = "model", ann=None,
-                 bundle_version: int | None = None,
-                 appended=None, stream_generation: int = 0) -> None:
+    def __init__(self, engine: PredictionEngine, config: PoolConfig) -> None:
         self.config = config
-        self.model = model
-        self.split = split
-        self.model_name = model_name
-        self.ann = ann
-        self.bundle_version = bundle_version
+        self.engine = engine
         self.started = time.time()
-        self.metrics = MetricsRegistry()
-        #: Streaming delta-log generation the parent (and, after each
-        #: republish roll, every replica) has adopted.
-        self.stream_generation = int(stream_generation)
+        self.metrics = engine.metrics
         self._append_lock = asyncio.Lock()
-        csr_filter = None
-        if appended is not None and len(appended):
-            # v3 bundles: appended known triples join the filter without
-            # belonging to any train/valid/test part.
-            csr_filter = build_csr_filter(
-                split, ("train", "valid", "test")).append_rows(
-                    appended, num_relations=split.num_relations,
-                    num_entities=split.num_entities)
-        self.pool = ReplicaPool(model, split, config, model_name=model_name,
-                                csr_filter=csr_filter,
-                                ann=ann, bundle_version=bundle_version,
-                                registry=self.metrics)
+        self.pool = ReplicaPool(engine, config, registry=self.metrics)
         self.limiter = RateLimiter(config.rate_limit, config.rate_burst,
                                    max_clients=config.max_clients)
         self.admission = AdmissionController(config.max_queue_depth,
@@ -619,30 +570,6 @@ class PoolServer:
         self.slo = SLOTracker(self.metrics, scope="pool")
 
     # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_bundle(cls, path: str, config: PoolConfig, *, ann: str = "auto",
-                    strict: bool = True) -> "PoolServer":
-        """Load a checkpoint bundle once and build the tier around it.
-
-        ``ann`` follows the same ``auto|off|require|build`` policy as
-        :meth:`repro.serve.PredictionEngine.from_bundle`; the resolved
-        index is shared by every worker (fork copy-on-write).
-        """
-        from ..serve.ann import resolve_ann_policy
-        from ..serve.bundle import load_bundle
-
-        bundle = load_bundle(path, strict=strict)
-        model = bundle.build_model(strict=strict)
-        serving = resolve_ann_policy(bundle, model, ann)
-        return cls(model, bundle.split, config, model_name=bundle.model_name,
-                   ann=serving,
-                   bundle_version=bundle.manifest.get("format_version"),
-                   appended=bundle.appended,
-                   stream_generation=bundle.stream_generation)
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def serve(self, host: str = "127.0.0.1", port: int = 0,
@@ -664,7 +591,8 @@ class PoolServer:
         self.port = int(self._server.sockets[0].getsockname()[1])
         self._health_task = self._loop.create_task(self._health_loop())
         logger.info("pool serving %s on http://%s:%d with %d workers",
-                    self.model_name, self.host, self.port, self.config.workers)
+                    self.engine.model_name, self.host, self.port,
+                    self.config.workers)
         if _started is not None:
             _started.set()
         if on_started is not None:
@@ -953,14 +881,14 @@ class PoolServer:
     async def _append(self, raw: bytes) -> tuple[int, dict]:
         """Apply a streaming append on the parent, then roll the replicas.
 
-        Handled locally: workers hold read-only replicas, so the
-        mutation happens on the parent model/vocabulary/filter and
-        propagates via :meth:`ReplicaPool.republish` (a fresh shared
-        segment + generation-stamped worker roll).  Serialised by a
-        lock so concurrent appends commit in generation order.
+        Handled locally: workers hold read-only replicas, so the parent
+        engine adopts the append (the threaded tier's
+        :func:`~repro.stream.apply_append`) and it propagates via
+        :meth:`ReplicaPool.republish` (a fresh shared segment +
+        generation-stamped worker roll).  Serialised by a lock so
+        concurrent appends commit in generation order.
         """
-        from ..stream import (StreamError, StreamMetrics, apply_append_to_model,
-                              default_encoder)
+        from ..stream import StreamError, apply_append
 
         try:
             body = json.loads(raw) if raw else None
@@ -969,39 +897,24 @@ class PoolServer:
         if self._draining:
             return 503, _envelope("draining", "server is draining; retry later")
         async with self._append_lock:
-            encoder = getattr(self, "_stream_encoder", None)
-            if encoder is None:
-                encoder = default_encoder(self.model, self.split)
-                self._stream_encoder = encoder
             try:
-                delta, _ = apply_append_to_model(
-                    self.model, self.split, body, encoder=encoder,
-                    generation=self.stream_generation + 1, source="pool")
+                delta = apply_append(self.engine, body, source="pool")
             except StreamError as exc:
                 return exc.status, _envelope(exc.code, exc.message)
-            if len(delta.triples):
-                self.pool.csr_filter = self.pool.csr_filter.append_rows(
-                    delta.triples, num_relations=self.split.num_relations,
-                    num_entities=self.split.num_entities)
-            self.stream_generation = delta.generation
-            StreamMetrics(self.metrics).record(delta)
             with trace("pool.republish", generation=delta.generation):
                 await self.pool.republish()
         return 200, {
             "applied": delta.log_entry(),
-            "stream_generation": self.stream_generation,
-            "num_entities": int(self.split.num_entities),
-            "replicas": [h.liveness() for h in
-                         sorted(self.pool.handles.values(),
-                                key=lambda h: h.rank)],
+            "stream_generation": int(self.engine.stream_generation),
+            "num_entities": int(self.engine.num_entities),
+            "replicas": self.pool.liveness(),
         }
 
     # ------------------------------------------------------------------
     # Local routes
     # ------------------------------------------------------------------
     def _healthz(self) -> dict:
-        replicas = [handle.liveness() for handle in
-                    sorted(self.pool.handles.values(), key=lambda h: h.rank)]
+        replicas = self.pool.liveness()
         alive = sum(1 for row in replicas if row["alive"])
         if self._draining:
             status = "draining"
@@ -1011,22 +924,7 @@ class PoolServer:
             status = "degraded"
         else:
             status = "down"
-        ann_info = {"supports_ann": supports_ann(self.model),
-                    "attached": self.ann is not None}
-        if self.ann is not None:
-            ann_info.update(self.ann.stats())
-        return {
-            "status": status,
-            "model": self.model_name,
-            "num_entities": self.split.num_entities,
-            "num_relations": self.split.num_relations,
-            "uptime_seconds": round(time.time() - self.started, 3),
-            "version": __version__,
-            "bundle": {"version": self.bundle_version},
-            "stream": {"generation": int(self.stream_generation)},
-            "ann": ann_info,
-            "replicas": replicas,
-        }
+        return health_payload(self.engine, status, replicas, self.started)
 
     async def _merged_registry(self) -> tuple[MetricsRegistry, list[dict]]:
         """Front-end metrics + every worker's snapshot, fan-in merged."""
@@ -1075,12 +973,12 @@ class PoolServer:
         }
 
 
-def run_pool(bundle: str, config: PoolConfig, *, host: str = "127.0.0.1",
-             port: int = 8080, ann: str = "auto", on_started=None) -> int:
-    """CLI entry: serve ``bundle`` with a pool, drain gracefully on signals."""
+def run_pool(engine: PredictionEngine, config: PoolConfig, *,
+             host: str = "127.0.0.1", port: int = 8080, on_started=None) -> int:
+    """CLI entry: serve ``engine`` with a pool, drain gracefully on signals."""
     import signal
 
-    server = PoolServer.from_bundle(bundle, config, ann=ann)
+    server = PoolServer(engine, config)
 
     async def main() -> None:
         loop = asyncio.get_running_loop()

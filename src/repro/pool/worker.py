@@ -2,14 +2,16 @@
 
 A pool worker is a forked child that:
 
-1. remaps its inherited model onto the shared ``FlatSpec`` segment
-   (:func:`repro.pool.replica.attach_replica` — zero-copy, read-only);
-2. wraps it in a fresh :class:`~repro.serve.PredictionEngine` (own
-   metrics registry, zeroed counters; the known-triple CSR filter and
-   any ANN index are inherited from the parent copy-on-write, so no
-   per-worker rebuild) and the stock
-   :class:`~repro.serve.http.ServiceApp` — request validation, error
-   envelopes and scoring behave **identically** to the threaded server;
+1. remaps the model of its inherited parent engine onto the shared
+   ``FlatSpec`` segment (:func:`repro.pool.replica.attach_replica` —
+   zero-copy, read-only);
+2. serves a :meth:`~repro.serve.PredictionEngine.replica` of that
+   engine (own lock and metrics registry, zeroed counters, the parent's
+   settings, stream generation, known-triple CSR filter and ANN index —
+   the last two inherited copy-on-write, so no per-worker rebuild)
+   through the stock :class:`~repro.serve.http.ServiceApp` — request
+   validation, error envelopes and scoring behave **identically** to the
+   threaded server;
 3. loops on its command pipe answering ``req`` / ``ping`` / ``stats``
    messages until told to ``stop``.
 
@@ -67,33 +69,19 @@ class PoolWorkerContext:
     """Everything a forked pool worker needs (inherited, never pickled)."""
 
     rank: int
-    model: object
-    split: object                  # KGSplit
+    engine: PredictionEngine       # the parent's engine (COW-shared)
     segment: ReplicaSegment
     cmd: object                    # mp.Queue: parent -> this worker
     results: object                # mp.Queue: all workers -> parent
-    model_name: str = "model"
-    csr_filter: object | None = None   # prebuilt CSRFilter (COW-shared)
-    ann: object | None = None          # AnnServing (COW-shared)
-    approx_default: bool = False
-    bundle_version: int | None = None
-    cache_size: int = 512
     request_delay: float = 0.0     # test-only fault injection
     trace_path: str | None = None  # per-rank JSONL export (parent tracing on)
 
 
 def _build_app(ctx: PoolWorkerContext) -> ServiceApp:
-    shared = attach_replica(ctx.model, ctx.segment)
-    engine = PredictionEngine(
-        ctx.model, ctx.split, model_name=ctx.model_name,
-        cache_size=ctx.cache_size, ann=ctx.ann,
-        approx_default=ctx.approx_default,
-        bundle_version=ctx.bundle_version)
-    if ctx.csr_filter is not None:
-        engine._filter = ctx.csr_filter
+    shared = attach_replica(ctx.engine.model, ctx.segment)
     logger.info("pool worker %d up: %d shared bytes, model=%s",
-                ctx.rank, shared, ctx.model_name)
-    return ServiceApp(engine)
+                ctx.rank, shared, ctx.engine.model_name)
+    return ServiceApp(ctx.engine.replica())
 
 
 def pool_worker_main(ctx: PoolWorkerContext) -> None:

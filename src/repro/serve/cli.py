@@ -188,6 +188,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"{' ' + args.trace + '.w*' if args.pool > 0 else ''}\n"
               f"  drill into one request: python -m repro.obs report "
               f"--trace <X-Trace-Id> <files>")
+    engine = PredictionEngine.from_bundle(args.bundle,
+                                          cache_size=args.cache_size,
+                                          ann=args.ann,
+                                          approx_default=args.approx_default)
+    if engine.ann is not None:
+        recall = engine.ann_self_check()
+        print(f"ann: {engine.ann.index.nlist} lists, default nprobe "
+              f"{engine.ann.index.default_nprobe}, self-check recall@10 "
+              f"{recall:.3f}")
     if args.pool > 0:
         from ..pool import PoolConfig, run_pool
 
@@ -198,24 +207,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             rate_burst=args.rate_burst,
             default_timeout=args.default_timeout_ms / 1e3,
             drain_timeout=args.drain_timeout,
-            cache_size=args.cache_size,
-            approx_default=args.approx_default,
         )
         return run_pool(
-            args.bundle, config, host=args.host, port=args.port, ann=args.ann,
+            engine, config, host=args.host, port=args.port,
             on_started=lambda server: print(
-                f"pool serving {server.model_name} on "
+                f"pool serving {engine.model_name} on "
                 f"http://{server.host}:{server.port} with "
                 f"{config.workers} workers (SIGTERM drains gracefully)"))
-    engine = PredictionEngine.from_bundle(args.bundle,
-                                          cache_size=args.cache_size,
-                                          ann=args.ann,
-                                          approx_default=args.approx_default)
-    if engine.ann is not None:
-        recall = engine.ann_self_check()
-        print(f"ann: {engine.ann.index.nlist} lists, default nprobe "
-              f"{engine.ann.index.default_nprobe}, self-check recall@10 "
-              f"{recall:.3f}")
     batcher = MicroBatcher(engine, max_batch=args.max_batch,
                            max_delay=args.max_delay_ms / 1e3)
     server = make_server(engine, batcher, host=args.host, port=args.port)

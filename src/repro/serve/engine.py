@@ -47,6 +47,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from ..ann.ivf import topk_indices
 from ..eval.evaluator import CSRFilter, build_csr_filter
 from ..kg import KGSplit, Vocabulary
 from ..nn import inference_mode
@@ -59,28 +60,6 @@ __all__ = ["PredictionEngine", "topk_indices"]
 _CANDIDATE_BUCKETS = exponential_buckets(1, 4, 10)
 
 logger = logging.getLogger("repro.serve.engine")
-
-
-def topk_indices(row: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` best scores, ties broken by ascending id.
-
-    Deterministic: equal scores always rank lower ids first, so serving
-    results are reproducible across processes.  ``-inf`` cells (filtered
-    known triples) are excluded even if fewer than ``k`` finite scores
-    remain.
-    """
-    finite = int(np.sum(row > -np.inf))
-    k = min(k, len(row), finite)
-    if k <= 0:
-        return np.empty(0, dtype=np.int64)
-    # A partition alone keeps an arbitrary member of a tie straddling
-    # the cut, so gather every id scoring at least the k-th best score
-    # and order only those by (score desc, id asc).
-    neg = -row
-    kth = np.partition(neg, k - 1)[k - 1]
-    cand = np.flatnonzero(neg <= kth)
-    order = np.lexsort((cand, neg[cand]))[:k]
-    return cand[order].astype(np.int64)
 
 
 class PredictionEngine:
@@ -189,12 +168,17 @@ class PredictionEngine:
           ships an index;
         * ``"build"`` — use the bundled index, or train one now from the
           loaded model's entity table (raises for unsupported models).
+
+        The model is returned in eval mode.
         """
         from .ann import resolve_ann_policy
         from .bundle import load_bundle
 
         bundle = load_bundle(path, strict=strict)
         model = bundle.build_model(strict=strict)
+        # Served models never train: eval mode from load means no predict
+        # path toggles modes, so overlapping requests cannot flip it back.
+        model.eval()
         serving = resolve_ann_policy(bundle, model, ann)
         logger.info("loaded bundle %s (model=%s, entities=%d, relations=%d)",
                     path, bundle.model_name, bundle.split.num_entities,
@@ -209,6 +193,28 @@ class PredictionEngine:
             engine.append_filter_rows(bundle.appended)
         engine.stream_generation = bundle.stream_generation
         return engine
+
+    def replica(self) -> "PredictionEngine":
+        """A fresh engine serving this engine's model, split and settings.
+
+        Shares the model, the known-triple filter and the ANN index, and
+        carries over the filter epoch and stream generation; starts with
+        its own lock, an empty row cache and a zeroed metrics registry.
+        Pool workers serve one of these over the parent's engine after
+        the fork, so no counter is double-counted when the front end
+        merges their registries.
+        """
+        copy = PredictionEngine(
+            self.model, self.split, model_name=self.model_name,
+            cache_size=self.cache_size, filter_parts=self.filter_parts,
+            ann=self.ann, approx_default=self.approx_default,
+            bundle_version=self.bundle_version)
+        copy._filter = self._filter
+        copy._extra_filter_triples = list(self._extra_filter_triples)
+        copy.filter_epoch = self.filter_epoch
+        copy.stream_generation = self.stream_generation
+        copy.ann_rebuild_threshold = self.ann_rebuild_threshold
+        return copy
 
     @property
     def filter(self) -> CSRFilter:
@@ -447,6 +453,8 @@ class PredictionEngine:
                 known = self.filter.row(head, rel)
                 if len(known):
                     cands = cands[~np.isin(cands, known)]
+            # Ascending ids let topk_indices break score ties by id.
+            cands = np.sort(cands)
             self._m_ann_probed.observe(probed)
             self._m_ann_rerank.observe(len(cands))
             request_span.set_attr("ann_rerank", int(len(cands)))
@@ -457,12 +465,7 @@ class PredictionEngine:
             fill = np.full(len(cands), 0, dtype=np.int64)
             scores = np.asarray(self.model.score_cells(
                 fill + int(head), fill + int(rel), cands))
-            k = min(int(k), len(cands))
-            if k <= 0:
-                return np.empty(0, dtype=np.int64), np.empty(0)
-            part = np.argpartition(-scores, k - 1)[:k]
-            order = np.lexsort((cands[part], -scores[part]))
-            sel = part[order]
+            sel = topk_indices(scores, k)
             return cands[sel].astype(np.int64), scores[sel]
 
     def top_k_heads(self, tail: int, rel: int, k: int = 10,
@@ -598,15 +601,17 @@ class PredictionEngine:
         rng = np.random.default_rng(seed)
         heads = rng.integers(0, self.num_entities, size=num_queries)
         rels = rng.integers(0, 2 * self.num_relations, size=num_queries)
-        with inference_mode(self.model):
-            rows = np.asarray(self.model.predict_tails(heads, rels))
         recalls = []
-        for head, rel, row in zip(heads, rels, rows):
-            exact = set(topk_indices(row, k).tolist())
-            if not exact:
-                continue
-            ids, _ = self._top_k_approx(int(head), int(rel), k, False, nprobe)
-            recalls.append(len(exact & set(ids.tolist())) / len(exact))
+        with self._lock:
+            with inference_mode(self.model):
+                rows = np.asarray(self.model.predict_tails(heads, rels))
+            for head, rel, row in zip(heads, rels, rows):
+                exact = set(topk_indices(row, k).tolist())
+                if not exact:
+                    continue
+                ids, _ = self._top_k_approx(int(head), int(rel), k, False,
+                                            nprobe)
+                recalls.append(len(exact & set(ids.tolist())) / len(exact))
         recall = float(np.mean(recalls)) if recalls else 0.0
         self._g_ann_recall.set(recall)
         logger.info("ANN self-check: recall@%d = %.4f over %d queries "

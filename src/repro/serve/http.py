@@ -52,7 +52,8 @@ from .batcher import BatcherClosedError, MicroBatcher
 from .engine import PredictionEngine
 
 __all__ = ["ApiError", "MAX_BODY_BYTES", "MAX_TOP_K", "ServiceApp",
-           "ServeHandler", "deadline_from_body", "make_server"]
+           "ServeHandler", "deadline_from_body", "health_payload",
+           "make_server"]
 
 logger = logging.getLogger("repro.serve.http")
 
@@ -96,6 +97,31 @@ def deadline_from_body(body) -> float | None:
         raise ApiError(400, "bad_request",
                        f"'deadline_ms' must be a positive number, got {raw!r}")
     return time.monotonic() + float(raw) / 1e3
+
+
+def health_payload(engine: PredictionEngine, status: str, replicas: list[dict],
+                   started: float) -> dict:
+    """The ``/healthz`` body of both tiers, for one served engine.
+
+    ``status`` and the per-replica liveness ``replicas`` rows come from
+    the tier; ``started`` is its ``time.time()`` at startup.
+    """
+    ann_info = {"supports_ann": supports_ann(engine.model),
+                "attached": engine.ann is not None}
+    if engine.ann is not None:
+        ann_info.update(engine.ann.stats())
+    return {
+        "status": status,
+        "model": engine.model_name,
+        "num_entities": engine.num_entities,
+        "num_relations": engine.num_relations,
+        "uptime_seconds": round(time.time() - started, 3),
+        "version": __version__,
+        "bundle": {"version": engine.bundle_version},
+        "stream": {"generation": int(engine.stream_generation)},
+        "ann": ann_info,
+        "replicas": replicas,
+    }
 
 
 class ServiceApp:
@@ -229,31 +255,15 @@ class ServiceApp:
     # Routes
     # ------------------------------------------------------------------
     def _healthz(self) -> dict:
-        engine = self.engine
-        ann_info = {"supports_ann": supports_ann(engine.model),
-                    "attached": engine.ann is not None}
-        if engine.ann is not None:
-            ann_info.update(engine.ann.stats())
-        return {
-            "status": "ok",
-            "model": engine.model_name,
-            "num_entities": engine.num_entities,
-            "num_relations": engine.num_relations,
-            "uptime_seconds": round(time.time() - self.started, 3),
-            "version": __version__,
-            "bundle": {"version": engine.bundle_version},
-            "stream": {"generation": int(engine.stream_generation)},
-            "ann": ann_info,
-            "replicas": [{
-                "rank": 0,
-                "alive": True,
-                "pid": os.getpid(),
-                "mode": "thread",
-                "inflight": 0,
-                "requests": self.requests,
-                "generation": 0,
-            }],
-        }
+        return health_payload(self.engine, "ok", [{
+            "rank": 0,
+            "alive": True,
+            "pid": os.getpid(),
+            "mode": "thread",
+            "inflight": 0,
+            "requests": self.requests,
+            "generation": 0,
+        }], self.started)
 
     def _stats(self) -> dict:
         # +1: the in-flight /stats request itself is only counted at

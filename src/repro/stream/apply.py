@@ -10,17 +10,17 @@ embedding-table rows.
 
 Three entry points share the phases:
 
-* :func:`apply_append` — the live-engine path.  The commit runs inside
+* :func:`apply_append` — the live-engine path of both serving tiers
+  (the pool applies it to its parent engine, then republishes replicas
+  from it).  The commit runs inside
   :meth:`PredictionEngine.adopt_append`, which holds the engine lock
   while it grows the model, bumps the entity count, drops stale cached
   score rows, and folds the appended triples into the known-triple
   filter;
-* :func:`apply_append_to_model` — the offline path (CLI re-export, pool
-  parent), mutating a bare model + split and optionally growing the
-  bundle's feature matrices;
-* :func:`plan_append` / :func:`commit_append` — the phases themselves,
-  for callers that need to interleave (the pool commits on the parent
-  model, then republishes replicas from it).
+* :func:`apply_append_to_model` — the offline path (CLI re-export),
+  mutating a bare model + split and optionally growing the bundle's
+  feature matrices;
+* :func:`plan_append` / :func:`commit_append` — the phases themselves.
 
 Appends are serialised per process by a module lock: generation numbers
 are assigned at commit time and must be monotonic.
@@ -64,7 +64,12 @@ class AppendPlan:
         return len(self.specs)
 
     def touched_keys(self) -> list[tuple[int, int]]:
-        """``(h, r)`` score-row keys whose filter set this append changes."""
+        """``(h, r)`` score-row keys whose filter set this append changes.
+
+        Both query directions: ``(h, r)`` and ``(t, r + R)`` per triple,
+        mirroring the CSR filter's coverage, de-duplicated in first-seen
+        order.
+        """
         num_relations = self.split.num_relations
         keys: dict[tuple[int, int], None] = {}
         for h, r, t in self.triples.tolist():
@@ -213,8 +218,7 @@ def apply_append_to_model(model, split: KGSplit, body, *,
     """Offline append: parse → plan → commit against a bare model/split.
 
     Returns the delta plus grown feature matrices (``None`` when the
-    caller passed none).  Used by the CLI re-export path and by the pool
-    parent before it republishes replicas.
+    caller passed none).  Used by the CLI re-export path.
     """
     specs, raw_triples = parse_append_request(body)
     with _APPLY_LOCK:

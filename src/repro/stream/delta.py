@@ -81,19 +81,6 @@ class AppendDelta:
     def num_new_triples(self) -> int:
         return int(len(self.triples))
 
-    def touched_keys(self, num_relations: int) -> list[tuple[int, int]]:
-        """Every ``(h, r)`` score-row key whose filter set changed.
-
-        Both query directions: ``(h, r)`` and ``(t, r + R)`` per triple,
-        mirroring the CSR filter's coverage, de-duplicated in first-seen
-        order.
-        """
-        keys: dict[tuple[int, int], None] = {}
-        for h, r, t in np.asarray(self.triples).reshape(-1, 3).tolist():
-            keys[(int(h), int(r))] = None
-            keys[(int(t), int(r) + num_relations)] = None
-        return list(keys)
-
     def log_entry(self) -> dict:
         """JSON-safe record for the bundle manifest's delta log."""
         return {

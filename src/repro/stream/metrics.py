@@ -1,10 +1,10 @@
 """Stream-tier observability: append counters + generation gauge.
 
-Registered against the host tier's :class:`~repro.obs.MetricsRegistry`
-(the engine's, or the pool frontend's), so stream activity shows up in
-the same ``/metrics`` exposition as serving traffic.  Registration is
-idempotent per registry, making it safe to construct one of these per
-append.
+Registered against the serving engine's
+:class:`~repro.obs.MetricsRegistry` (which the pool front end shares),
+so stream activity shows up in the same ``/metrics`` exposition as
+serving traffic.  Registration is idempotent per registry, making it
+safe to construct one of these per append.
 """
 
 from __future__ import annotations

@@ -118,6 +118,18 @@ class TestSearch:
         index = IVFIndex.build(x, metric="ip", store="float64", nlist=1)
         (ids, _), = index.search(np.array([[1.0, 1.0]]), k=4, nprobe=1)
         np.testing.assert_array_equal(ids, [0, 1, 2, 3])
+        # A tie straddling the cut: the 11th-best vector equals the 10th,
+        # so the top-10 must keep the lower id of the two.
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(400, 8))
+            query = rng.normal(size=8)
+            order = np.argsort(-(x @ query), kind="stable")
+            x[order[10]] = x[order[9]]
+            index = IVFIndex.build(x, metric="ip", store="float64")
+            (ids, _), = index.search(query[None], k=10, nprobe=index.nlist)
+            np.testing.assert_array_equal(ids, topk_indices(x @ query, 10),
+                                          err_msg=f"seed {seed}")
 
 
 class TestPayload:

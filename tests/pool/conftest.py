@@ -10,6 +10,7 @@ import pytest
 from repro.baselines import build_model
 from repro.datasets import DRKGConfig, build_features, generate_drkg_mm
 from repro.pool import PoolConfig, PoolServer
+from repro.serve import PredictionEngine
 
 
 @pytest.fixture(scope="session")
@@ -35,7 +36,8 @@ def pool_factory(transe, prepared):
 
     def make(**kwargs) -> PoolServer:
         config = PoolConfig(**kwargs)
-        server = PoolServer(transe, mkg.split, config, model_name="TransE")
+        engine = PredictionEngine(transe, mkg.split, model_name="TransE")
+        server = PoolServer(engine, config)
         servers.append(server)
         server.start_background()
         return server

@@ -13,6 +13,7 @@ import pytest
 from repro.baselines import build_model
 from repro.datasets import DRKGConfig, build_features, generate_drkg_mm
 from repro.pool import PoolConfig, PoolServer
+from repro.serve import PredictionEngine
 
 from .conftest import http
 
@@ -25,8 +26,8 @@ def own_pool():
                            d_s=6, gin_epochs=1, compgcn_epochs=1)
     model, _ = build_model("TransE", mkg, feats, np.random.default_rng(1),
                            dim=16)
-    server = PoolServer(model, mkg.split, PoolConfig(workers=2),
-                        model_name="TransE")
+    engine = PredictionEngine(model, mkg.split, model_name="TransE")
+    server = PoolServer(engine, PoolConfig(workers=2))
     server.start_background()
     yield server, mkg
     server.request_shutdown(drain=False)
@@ -43,7 +44,7 @@ def append_body(mkg, name="POOL::1"):
 class TestPoolAppend:
     def test_append_republishes_and_preserves_predictions(self, own_pool):
         server, mkg = own_pool
-        old = server.model.num_entities
+        old = server.engine.model.num_entities
         probe = {"head": mkg.split.graph.entities.name(3),
                  "relation": 0, "k": 5}
         status, before, _ = http(server, "POST", "/predict", probe)
@@ -76,6 +77,28 @@ class TestPoolAppend:
              "filter_known": True})
         names = [r["entity"] for r in filtered["results"]]
         assert mkg.split.graph.entities.name(3) not in names
+
+    def test_workers_adopt_the_parent_generation(self, own_pool):
+        """After each append every worker's engine reports the stream
+        generation and filter epoch of the parent engine, and the append
+        counters are counted once, not once per replica."""
+        server, mkg = own_pool
+        for i in range(2):
+            status, payload, _ = http(server, "POST", "/append",
+                                      append_body(mkg, f"POOL::{i}"),
+                                      timeout=60)
+            assert status == 200, payload
+        _, health, _ = http(server, "GET", "/healthz")
+        assert health["stream"]["generation"] == 2
+        _, stats, _ = http(server, "GET", "/stats")
+        rows = [row["engine"] for row in stats["workers"]]
+        assert len(rows) == 2
+        for row in rows:
+            assert row["stream_generation"] == 2
+            assert row["filter_epoch"] == server.engine.filter_epoch == 2
+        _, text, _ = http(server, "GET", "/metrics")
+        assert "\nstream_appends_total 2\n" in text
+        assert "\nstream_generation 2\n" in text
 
     def test_append_conflicts_and_bad_requests(self, own_pool):
         server, mkg = own_pool

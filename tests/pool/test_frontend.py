@@ -8,7 +8,6 @@ import time
 import urllib.error
 import urllib.request
 
-import numpy as np
 import pytest
 
 from repro.pool import PoolConfig
@@ -310,6 +309,7 @@ class TestWorkerLoss:
         import multiprocessing as mp
 
         from repro.pool import PoolServer
+        from repro.serve import PredictionEngine
 
         mkg, _ = prepared
         ctx = mp.get_context("fork")
@@ -319,8 +319,9 @@ class TestWorkerLoss:
 
         def doomed_frontend():
             config = PoolConfig(workers=2, health_interval=0.1)
-            server = PoolServer(transe, mkg.split, config,
-                                model_name="TransE")
+            server = PoolServer(
+                PredictionEngine(transe, mkg.split, model_name="TransE"),
+                config)
             server.start_background()
             pid_queue.put([h.proc.pid
                            for h in server.pool.handles.values()])

@@ -75,6 +75,22 @@ class TestExactness:
             np.testing.assert_array_equal(ids_a, ids_e)
             np.testing.assert_allclose(sc_a, sc_e, rtol=1e-12)
 
+    def test_full_probe_tie_at_cut_keeps_lower_id(self):
+        """Two entities tied for 10th place: the approximate top-10 keeps
+        the lower id, exactly like the exact path."""
+        for seed in range(5):
+            model, split = _clustered_split(seed=seed)
+            ann = AnnServing.build(model, seed=0)
+            engine = PredictionEngine(model, split, cache_size=0, ann=ann)
+            row = model.predict_tails(np.array([0]), np.array([0]))[0]
+            order = np.argsort(-row, kind="stable")
+            table = model.entity_embedding.weight.data
+            table[order[10]] = table[order[9]]
+            ids_e, _ = engine.top_k_tails(0, 0, 10, approx=False)
+            ids_a, _ = engine.top_k_tails(0, 0, 10, approx=True,
+                                          nprobe=ann.index.nlist)
+            np.testing.assert_array_equal(ids_a, ids_e, err_msg=f"seed {seed}")
+
     def test_reranked_scores_are_true_model_scores(self, ann_engine, transe):
         ids, scores = ann_engine.top_k_tails(2, 0, 5, approx=True)
         expect = transe.score_cells(np.full(len(ids), 2),

@@ -1,9 +1,12 @@
 """Prediction engine: top-k parity, filtering, caching, score_triples."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.eval import build_csr_filter
+from repro.nn import inference_mode
 from repro.serve import PredictionEngine, topk_indices
 
 
@@ -221,3 +224,37 @@ class TestBundleConstruction:
         ids, scores = engine.top_k_tails(0, 0, k=4)
         row = transe.predict_tails(np.array([0]), np.array([0]))[0]
         np.testing.assert_array_equal(scores, row[ids])
+
+    def test_model_stays_in_eval_mode_across_overlapping_inference(
+            self, transe_bundle):
+        """Thread A leaves its inference block while thread B is still
+        inside its own: B must keep scoring in eval mode."""
+        model = PredictionEngine.from_bundle(transe_bundle).model
+        a_inside, a_leave, b_inside, b_check = (threading.Event()
+                                                for _ in range(4))
+        seen = {}
+
+        def first():
+            with inference_mode(model):
+                a_inside.set()
+                a_leave.wait(10)
+
+        def second():
+            a_inside.wait(10)
+            with inference_mode(model):
+                b_inside.set()
+                b_check.wait(10)
+                seen["training"] = model.training
+
+        threads = [threading.Thread(target=first),
+                   threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        assert b_inside.wait(10)
+        a_leave.set()
+        threads[0].join(10)
+        b_check.set()
+        threads[1].join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {"training": False}
+        assert model.training is False

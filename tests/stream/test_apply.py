@@ -42,6 +42,16 @@ class TestPlan:
         assert model.num_entities == old
         assert len(mkg.split.graph.entities) == old
 
+    def test_touched_keys_cover_both_directions_deduplicated(self, fresh):
+        mkg, _, model = fresh
+        old, num_relations = model.num_entities, mkg.split.num_relations
+        raw = [["NEW::1", 0, 3], [5, 1, "NEW::1"], ["NEW::1", 0, 3]]
+        plan = plan_append(model, mkg.split, [EntitySpec(name="NEW::1")], raw,
+                           encoder=default_encoder(model, mkg.split))
+        # (h, r) and (t, r + R) per triple, first-seen order, no repeats.
+        assert plan.touched_keys() == [(old, 0), (3, num_relations), (5, 1),
+                                       (old, 1 + num_relations)]
+
     def test_existing_name_conflicts(self, fresh):
         mkg, _, model = fresh
         taken = mkg.split.graph.entities.name(0)

@@ -64,11 +64,6 @@ class TestDelta:
             old_num_entities=46, num_entities=47, source="api",
             entity_types=["Compound"])
 
-    def test_touched_keys_cover_both_directions_deduplicated(self):
-        keys = self.delta().touched_keys(num_relations=13)
-        # (h, r) and (t, r + R) per triple, first-seen order, no repeats.
-        assert keys == [(46, 0), (3, 13), (5, 1), (46, 14)]
-
     def test_log_entry_is_json_safe(self):
         entry = self.delta().log_entry()
         round_tripped = json.loads(json.dumps(entry))
