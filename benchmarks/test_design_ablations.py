@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core import CamE, CamEConfig
 from repro.datasets import build_features
-from repro.eval import evaluate_ranking
+from repro.eval import RankingEvaluator
 from repro.experiments import get_prepared
 from repro.train import OneToNObjective, TrainingEngine
 
@@ -27,8 +27,8 @@ def _train_eval(mkg, feats, cfg, epochs, seed=1):
     engine = TrainingEngine(model, mkg.split, rng, OneToNObjective(batch_size=128),
                             lr=cfg.learning_rate)
     engine.fit(epochs, eval_every=max(epochs // 3, 1), eval_max_queries=100)
-    return evaluate_ranking(model, mkg.split, part="test", max_queries=200,
-                            rng=np.random.default_rng(2))
+    return engine.evaluator.evaluate(model, part="test", max_queries=200,
+                                     rng=np.random.default_rng(2))
 
 
 def test_struct_term_ablation(benchmark, sweep_scale, capsys):
@@ -47,8 +47,8 @@ def test_struct_term_ablation(benchmark, sweep_scale, capsys):
     # The zero-initialised gate must make the term at worst harmless.
     assert with_term.mrr >= without.mrr * 0.85
 
-    benchmark.pedantic(lambda: evaluate_ranking(
-        _DummyScorer(mkg.num_entities), mkg.split, part="valid",
+    benchmark.pedantic(lambda: RankingEvaluator(mkg.split).evaluate(
+        _DummyScorer(mkg.num_entities), part="valid",
         max_queries=50, rng=np.random.default_rng(0)), rounds=2, iterations=1)
 
 

@@ -8,7 +8,9 @@ filter-build time into ``benchmarks/results/BENCH_eval.json`` so the
 perf trajectory is tracked from PR 1 onward.
 
 Set ``BENCH_EVAL_QUICK=1`` (CI) to shrink the workload; the recorded
-speedup threshold still has to hold.
+speedup threshold still has to hold.  The per-row path is the parity
+oracle in ``tests/eval/oracle.py``; run from the repo root with
+``python -m pytest`` so the ``tests`` package is importable.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import time
 
 import numpy as np
 
-from repro.eval import RankingEvaluator, build_csr_filter, build_filter
+from repro.eval import RankingEvaluator, build_csr_filter
 from repro.eval.evaluator import CSRFilter
-from repro.eval.ranking import compute_ranks_reference
 from repro.kg import KGSplit, KnowledgeGraph, Vocabulary
+from tests.eval.oracle import build_filter, compute_ranks_reference
 
 from conftest import RESULTS_DIR
 
@@ -104,7 +106,7 @@ def test_perf_eval(capsys):
     assert csr.nnz == sum(len(v) for v in dict_filter.values())
 
     # End-to-end ranking, old path (rebuilds its dict filter internally,
-    # exactly as the seed evaluate_ranking did on every call).
+    # exactly as the seed implementation did on every call).
     tick = time.perf_counter()
     ref_ranks = compute_ranks_reference(scorer, split, queries)
     ref_seconds = time.perf_counter() - tick

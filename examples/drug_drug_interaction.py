@@ -16,7 +16,7 @@ import numpy as np
 from repro.baselines import ConvE
 from repro.core import CamE, CamEConfig
 from repro.datasets import build_features, get_dataset
-from repro.eval import compute_ranks, RankingMetrics
+from repro.eval import RankingMetrics
 from repro.train import OneToNObjective, TrainingEngine
 
 
@@ -47,10 +47,12 @@ def main() -> None:
         else:
             model = ConvE(mkg.num_entities, mkg.num_relations, dim=48, rng=model_rng)
             epochs = args.epochs
-        TrainingEngine(model, mkg.split, model_rng, OneToNObjective(batch_size=128),
-                       lr=1e-3 if name == "CamE" else 3e-3).fit(epochs)
-        ranks = compute_ranks(model, mkg.split, ddi_tests,
-                              rng=np.random.default_rng(2))
+        engine = TrainingEngine(model, mkg.split, model_rng,
+                                OneToNObjective(batch_size=128),
+                                lr=1e-3 if name == "CamE" else 3e-3)
+        engine.fit(epochs)
+        ranks = engine.evaluator.compute_ranks(model, ddi_tests,
+                                               rng=np.random.default_rng(2))
         results[name] = RankingMetrics.from_ranks(ranks)
         print(f"{name:6s} on DDI triples: {results[name]}")
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from repro.core import CamE, CamEConfig
 from repro.datasets import build_features, get_dataset
-from repro.eval import build_filter
+from repro.eval import build_csr_filter
+from repro.serve import topk_indices
 from repro.train import OneToNObjective, TrainingEngine
 
 
@@ -40,18 +41,20 @@ def main() -> None:
 
     graph = mkg.graph
     treats = graph.relations.id("treats")
-    diseases = set(mkg.entities_of_type("Disease").tolist())
-    known = build_filter(mkg.split)
+    not_disease = np.ones(mkg.num_entities, dtype=bool)
+    not_disease[mkg.entities_of_type("Disease")] = False
+    known = build_csr_filter(mkg.split)
 
     compounds = mkg.entities_of_type("Compound")
     picks = rng.choice(compounds, size=min(args.drugs, len(compounds)), replace=False)
     print("=== drug repurposing candidates (relation: treats) ===\n")
     for drug in picks:
         drug = int(drug)
-        scores = model.predict_tails(np.array([drug]), np.array([treats]))[0]
-        already = set(known.get((drug, treats), np.array([], dtype=np.int64)).tolist())
-        ranked = [int(e) for e in np.argsort(-scores)
-                  if int(e) in diseases and int(e) not in already][:3]
+        # Only diseases the KG does not already link to the drug compete.
+        scores = np.array(model.predict_tails(np.array([drug]), np.array([treats])))
+        scores = known.mask_known(scores, [drug], [treats])[0]
+        scores[not_disease] = -np.inf
+        ranked = topk_indices(scores, 3)
         name = graph.entities.name(drug)
         print(f"{name}  [{mkg.scaffold_of.get(drug, '?')}]")
         print(f"  \"{mkg.descriptions.get(drug, '')}\"")

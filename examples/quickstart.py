@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.core import CamE, CamEConfig
 from repro.datasets import build_features, get_dataset
-from repro.eval import evaluate_ranking
 from repro.train import OneToNObjective, TrainingEngine
 
 
@@ -50,8 +49,7 @@ def main() -> None:
           f"{report.mean_epoch_seconds:.2f}s/epoch")
 
     # 4. Filtered link-prediction evaluation (MR / MRR / Hits@n).
-    metrics = evaluate_ranking(model, mkg.split, part="test",
-                               max_queries=300, rng=rng)
+    metrics = engine.evaluator.evaluate(model, part="test", max_queries=300, rng=rng)
     print(f"test    : {metrics}")
 
 

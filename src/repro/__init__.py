@@ -23,16 +23,16 @@ Quickstart::
     import numpy as np
     from repro.datasets import get_dataset, build_features
     from repro.core import CamE, CamEConfig
-    from repro.eval import evaluate_ranking
     from repro.train import OneToNObjective, TrainingEngine
 
     mkg = get_dataset("drkg-mm", scale=0.5)
     feats = build_features(mkg, np.random.default_rng(0))
     model = CamE(mkg.num_entities, mkg.num_relations, feats,
                  CamEConfig(entity_dim=48, relation_dim=48))
-    TrainingEngine(model, mkg.split, np.random.default_rng(1),
-                   OneToNObjective(batch_size=64), lr=1e-3).fit(epochs=60)
-    print(evaluate_ranking(model, mkg.split))
+    engine = TrainingEngine(model, mkg.split, np.random.default_rng(1),
+                            OneToNObjective(batch_size=64), lr=1e-3)
+    engine.fit(epochs=60)
+    print(engine.evaluator.evaluate(model))
 """
 
 __version__ = "1.0.0"

@@ -109,21 +109,6 @@ class EmbeddingModel(nn.Module):
     def predict_tails(self, heads: np.ndarray, rels: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
-    def predict_heads(self, tails: np.ndarray, rels: np.ndarray) -> np.ndarray:
-        """Score all head candidates for ``(?, r, t)`` queries.
-
-        Uses the inverse-relation convention shared with the evaluator:
-        head-side queries rank through ``r + num_relations``.  ``rels``
-        must hold *original* relation ids.
-        """
-        rels = np.asarray(rels)
-        if rels.size and rels.max() >= self.num_relations:
-            raise ValueError(
-                "predict_heads expects original relation ids "
-                f"(< {self.num_relations}); got max {int(rels.max())}"
-            )
-        return self.predict_tails(np.asarray(tails), rels + self.num_relations)
-
     # Approximate-serving hooks ----------------------------------------
     def ann_vectors(self) -> np.ndarray:
         """The entity-side table an ANN index should be built over.

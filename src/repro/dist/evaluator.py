@@ -71,12 +71,10 @@ class ShardedEvaluator(RankingEvaluator):
     def __init__(self, split: KGSplit,
                  parts: tuple[str, ...] = ("train", "valid", "test"),
                  batch_size: int = 128,
-                 score_dtype: np.dtype | type = np.float64,
                  num_workers: int = 2,
                  min_queries_per_worker: int = 32,
                  timeout: float = 120.0) -> None:
-        super().__init__(split, parts=parts, batch_size=batch_size,
-                         score_dtype=score_dtype)
+        super().__init__(split, parts=parts, batch_size=batch_size)
         self.num_workers = max(1, int(num_workers))
         self.min_queries_per_worker = min_queries_per_worker
         self.timeout = timeout

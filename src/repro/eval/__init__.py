@@ -1,12 +1,13 @@
 """``repro.eval`` — filtered link-prediction evaluation.
 
-MR / MRR / Hits metrics (:mod:`repro.eval.metrics`), the vectorized
-construct-once evaluator (:mod:`repro.eval.evaluator`), the filtered
-ranking protocol over both query directions (:mod:`repro.eval.ranking`),
-and per-relation-family breakdowns (:mod:`repro.eval.per_relation`).
+MR / MRR / Hits metrics (:mod:`repro.eval.metrics`), the filtered
+ranking protocol over both query directions with its construct-once
+CSR filter (:mod:`repro.eval.evaluator` — the only code that ranks),
+per-relation-family breakdowns (:mod:`repro.eval.per_relation`) and the
+inductive split (:mod:`repro.eval.inductive`).
 """
 
-from .evaluator import CSRFilter, RankingEvaluator, build_csr_filter
+from .evaluator import CSRFilter, RankingEvaluator, TailScorer, build_csr_filter
 from .inductive import (
     InductiveReport,
     InductiveSplit,
@@ -20,13 +21,6 @@ from .per_relation import (
     family_of_triples,
     family_triple_counts,
 )
-from .ranking import (
-    TailScorer,
-    build_filter,
-    compute_ranks,
-    compute_ranks_reference,
-    evaluate_ranking,
-)
 
 __all__ = [
     "CSRFilter",
@@ -34,10 +28,6 @@ __all__ = [
     "RankingMetrics",
     "TailScorer",
     "build_csr_filter",
-    "build_filter",
-    "compute_ranks",
-    "compute_ranks_reference",
-    "evaluate_ranking",
     "evaluate_per_relation_family",
     "family_of_triples",
     "family_triple_counts",

@@ -1,31 +1,35 @@
-"""Vectorized filtered-ranking evaluator with a cached CSR filter.
+"""Filtered ranking evaluation (Bordes et al. protocol, Section V-B).
 
-The original :mod:`repro.eval.ranking` path ranks one query at a time in
-a Python loop and rebuilds the full ``(h, r) -> true tails`` dict from
-train+valid+test on every ``evaluate_ranking`` call.  At DRKG-MM scale
-both costs dominate evaluation wall-clock, and the trainer re-pays them
-every ``eval_every`` epochs.
+Every model under test exposes ``predict_tails(heads, rels) ->
+(B, num_entities)`` scores (:class:`TailScorer`).  For each test triple
+``(h, r, t)`` the true tail is ranked against all entities with every
+*other* known-true tail filtered out; the inverse query
+``(t, r^-1, h)`` ranks the head side, matching the paper's protocol of
+training with inverse triples and "ranking with whole entities".  Ties
+take the mean rank (average of optimistic and pessimistic rank), so
+constant scorers cannot cheat.
 
-:class:`RankingEvaluator` fixes both ends:
+:class:`RankingEvaluator` is the one ranking path:
 
 * the filter is built **once per split** in a single vectorized pass
   (``np.lexsort`` over the inverse-augmented triple set) and stored as a
   CSR-packed structure — one sorted ``int64`` key array plus
   ``indptr``/``indices`` arrays, exactly like a ``scipy.sparse.csr_matrix``
   without the dependency;
-* whole score batches are ranked at once: target extraction, ``-inf``
-  scatter through the CSR rows, and the mean-rank tie convention
-  (``1 + #greater + #equal / 2``) are all batched numpy reductions with
-  no per-row loop.
+* whole score batches are ranked at once: target extraction, the
+  filtered-cell correction through the CSR rows, and the mean-rank tie
+  convention (``1 + #greater + #equal / 2``) are all batched numpy
+  reductions with no per-row loop.
 
-Ranks are bit-for-bit identical to the reference per-row implementation
-(see ``tests/eval/test_evaluator.py`` for the parity proof, including
-constant and heavily-tied scorers).
+Ranks are bit-for-bit identical to the per-row oracle in
+``tests/eval/oracle.py`` (see ``tests/eval/test_evaluator.py`` for the
+parity proof, including constant and heavily-tied scorers).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -34,7 +38,15 @@ from ..kg import KGSplit
 from ..obs import trace
 from .metrics import RankingMetrics
 
-__all__ = ["CSRFilter", "build_csr_filter", "RankingEvaluator"]
+__all__ = ["CSRFilter", "build_csr_filter", "RankingEvaluator", "TailScorer"]
+
+
+class TailScorer(Protocol):
+    """Anything that scores all candidate tails for (head, relation) queries."""
+
+    def predict_tails(self, heads: np.ndarray, rels: np.ndarray) -> np.ndarray:
+        """Return ``(B, num_entities)`` scores."""
+        ...  # pragma: no cover
 
 
 @dataclass(frozen=True)
@@ -90,27 +102,26 @@ class CSRFilter:
         return row_ids, self.indices[flat]
 
     def mask_known(self, scores: np.ndarray, heads: np.ndarray,
-                   rels: np.ndarray, keep: np.ndarray | None = None,
-                   value: float = -np.inf) -> np.ndarray:
-        """Scatter ``value`` into every known-true cell of a score batch.
+                   rels: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+        """Scatter ``-inf`` into every known-true cell of a score batch.
 
         ``scores`` is ``(B, E)`` and is modified in place (and returned).
         ``keep`` optionally names one entity per row whose cell is left
         untouched — the filtered-ranking convention of masking every true
-        answer *except* the query's own target.  The serving layer uses
-        this (with ``keep=None``) to drop already-known triples from
-        top-k predictions.
+        answer *except* the query's own target (the Fig. 7 case study).
+        The serving layer uses it with ``keep=None`` to drop
+        already-known triples from top-k predictions.
         """
         row_ids, entity_ids = self.gather(np.asarray(heads), np.asarray(rels))
         if keep is not None:
             keep = np.asarray(keep, dtype=np.int64)
             mask = entity_ids != keep[row_ids]
             row_ids, entity_ids = row_ids[mask], entity_ids[mask]
-        scores[row_ids, entity_ids] = value
+        scores[row_ids, entity_ids] = -np.inf
         return scores
 
     def row(self, head: int, rel: int) -> np.ndarray:
-        """True tails of a single query (convenience / debugging)."""
+        """True tails of a single query."""
         starts, ends = self.lookup(np.array([head]), np.array([rel]))
         return self.indices[int(starts[0]):int(ends[0])]
 
@@ -187,21 +198,14 @@ class RankingEvaluator:
         against train+valid+test.
     batch_size:
         Default number of queries scored per ``predict_tails`` call.
-    score_dtype:
-        Dtype score matrices are ranked in.  ``np.float64`` (default)
-        is bit-for-bit identical to the reference implementation;
-        ``np.float32`` halves the memory traffic of the ranking pass —
-        the inference fast path used by large-scale runs.
     """
 
     def __init__(self, split: KGSplit,
                  parts: tuple[str, ...] = ("train", "valid", "test"),
-                 batch_size: int = 128,
-                 score_dtype: np.dtype | type = np.float64) -> None:
+                 batch_size: int = 128) -> None:
         self.split = split
         self.num_relations = split.num_relations
         self.batch_size = batch_size
-        self.score_dtype = np.dtype(score_dtype)
         self.filter = build_csr_filter(split, parts)
 
     # ------------------------------------------------------------------
@@ -216,7 +220,7 @@ class RankingEvaluator:
         scores with two batched reductions, then corrected by
         subtracting the contribution of every known-true cell (gathered
         through the CSR rows — a few entries per query).  That equals
-        the reference semantics of scattering ``-inf`` into a copied
+        the oracle's semantics of scattering ``-inf`` into a copied
         row before counting, because a ``-inf`` cell contributes to
         neither count, while costing O(nnz) instead of O(B*E) extra
         work.  (Sole divergence: a target whose own score is ``-inf``,
@@ -225,9 +229,7 @@ class RankingEvaluator:
         known-true triple, so its ``equal`` contribution is subtracted
         like any other filtered cell.
         """
-        scores = np.asarray(scores)
-        if scores.dtype != self.score_dtype:
-            scores = scores.astype(self.score_dtype)
+        scores = np.asarray(scores, dtype=np.float64)
         batch = len(scores)
         targets = np.asarray(targets, dtype=np.int64)
         target_scores = scores[np.arange(batch), targets][:, None]
@@ -257,7 +259,7 @@ class RankingEvaluator:
                     scores, q[:, 0], q[:, 1], tgt)
         return ranks
 
-    def compute_ranks(self, model, triples: np.ndarray,
+    def compute_ranks(self, model: TailScorer, triples: np.ndarray,
                       max_queries: int | None = None,
                       rng: np.random.Generator | None = None,
                       batch_size: int | None = None,
@@ -276,7 +278,7 @@ class RankingEvaluator:
                                                  triples[:, 0], size))
         return np.concatenate(ranks)
 
-    def evaluate(self, model, part: str = "test",
+    def evaluate(self, model: TailScorer, part: str = "test",
                  max_queries: int | None = None,
                  rng: np.random.Generator | None = None,
                  batch_size: int | None = None,

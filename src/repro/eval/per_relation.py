@@ -11,9 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..kg import KGSplit
-from .evaluator import RankingEvaluator
+from .evaluator import RankingEvaluator, TailScorer
 from .metrics import RankingMetrics
-from .ranking import TailScorer
 
 __all__ = ["family_of_triples", "evaluate_per_relation_family", "family_triple_counts"]
 

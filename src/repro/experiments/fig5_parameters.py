@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import CamE, CamEConfig
-from ..eval import evaluate_ranking
 from ..train import OneToNObjective, TrainingEngine
 from .reporting import format_series
 from .runner import get_prepared
@@ -38,9 +37,9 @@ def _train_mrr(mkg, feats, cfg: CamEConfig, scale: Scale, seed: int) -> float:
                             lr=cfg.learning_rate)
     # Reduced budget: the sweep needs relative ordering, not convergence.
     engine.fit(max(scale.epochs_came // 2, 1))
-    metrics = evaluate_ranking(model, mkg.split, part="test",
-                               max_queries=scale.test_max_queries // 2,
-                               rng=np.random.default_rng(700 + seed))
+    metrics = engine.evaluator.evaluate(model, part="test",
+                                        max_queries=scale.test_max_queries // 2,
+                                        rng=np.random.default_rng(700 + seed))
     return metrics.mrr
 
 

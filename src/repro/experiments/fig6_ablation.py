@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import CamE, CamEConfig
-from ..eval import RankingMetrics, evaluate_ranking
+from ..eval import RankingMetrics
 from ..train import OneToNObjective, TrainingEngine
 from .reporting import format_table
 from .runner import get_prepared
@@ -46,8 +46,8 @@ def run_fig6(scale: Scale, dataset: str = "drkg-mm", seed: int = 0,
                                 lr=cfg.learning_rate)
         engine.fit(scale.epochs_came, eval_every=scale.eval_every,
                    eval_max_queries=scale.eval_max_queries)
-        results[name] = evaluate_ranking(
-            model, mkg.split, part="test", max_queries=scale.test_max_queries,
+        results[name] = engine.evaluator.evaluate(
+            model, part="test", max_queries=scale.test_max_queries,
             rng=np.random.default_rng(900 + seed),
         )
     return results

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..eval import build_filter
+from ..ann.ivf import topk_indices
+from ..eval import build_csr_filter
 from .runner import get_prepared, train_model
 from .scale import Scale
 
@@ -52,7 +53,7 @@ def run_fig7(scale: Scale, seed: int = 0, top_k: int = 3,
     run = train_model("CamE", "drkg-mm", scale, seed=seed)
     graph = mkg.graph
     types = graph.entity_types
-    filters = build_filter(mkg.split)
+    known = build_csr_filter(mkg.split)
 
     cc_tests = [t for t in mkg.split.test
                 if types[int(t[0])] == "Compound" and types[int(t[2])] == "Compound"]
@@ -71,15 +72,10 @@ def run_fig7(scale: Scale, seed: int = 0, top_k: int = 3,
 
     for idx in order:
         h, r, t = (int(v) for v in cc_tests[idx])
-        scores = run.model.predict_tails(np.array([h]), np.array([r]))[0]
-        known = filters.get((h, r))
-        if known is not None:
-            masked = scores.copy()
-            masked[known] = -np.inf
-            masked[t] = scores[t]
-        else:
-            masked = scores
-        top = np.argsort(-masked)[:top_k]
+        scores = np.array(run.model.predict_tails(np.array([h]), np.array([r])))
+        # Filter every other known tail; the query's own answer competes.
+        masked = known.mask_known(scores, [h], [r], keep=[t])[0]
+        top = topk_indices(masked, top_k)
         head_scaffold = mkg.scaffold_of.get(h, "")
         top_scaffolds = [mkg.scaffold_of.get(int(e), None) for e in top]
         valid = [s for s in top_scaffolds if s is not None]

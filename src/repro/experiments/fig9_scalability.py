@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import CamE, CamEConfig
-from ..eval import evaluate_ranking
 from ..train import OneToNObjective, TrainingEngine
 from .reporting import format_series
 from .runner import get_prepared
@@ -75,9 +74,9 @@ def run_fig9(scale: Scale, dataset: str = "drkg-mm", seed: int = 0,
             train_seconds = time.perf_counter() - tick
             n_test = max(1, int(scale.test_max_queries * fraction / 2))
             tick = time.perf_counter()
-            evaluate_ranking(model, sub_split, part="test", max_queries=n_test,
-                             rng=np.random.default_rng(1),
-                             batch_size=eval_batch_size)
+            engine.evaluator.evaluate(model, part="test", max_queries=n_test,
+                                      rng=np.random.default_rng(1),
+                                      batch_size=eval_batch_size)
             test_seconds = time.perf_counter() - tick
             points.append(ScalabilityPoint(variant, fraction,
                                            train_seconds, test_seconds))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import CamE, CamEConfig
-from ..eval import RankingMetrics, evaluate_ranking
+from ..eval import RankingMetrics
 from ..train import OneToNObjective, TrainingEngine
 from .runner import get_prepared
 from .scale import Scale
@@ -69,9 +69,9 @@ def grid_search_came(
                                 OneToNObjective(batch_size=128),
                                 lr=cfg.learning_rate)
         engine.fit(budget)
-        metrics = evaluate_ranking(model, mkg.split, part="valid",
-                                   max_queries=scale.eval_max_queries,
-                                   rng=np.random.default_rng(4321 + seed))
+        metrics = engine.evaluator.evaluate(model, part="valid",
+                                            max_queries=scale.eval_max_queries,
+                                            rng=np.random.default_rng(4321 + seed))
         points.append(GridPoint(settings=settings, valid_metrics=metrics))
     points.sort(key=lambda p: p.key, reverse=True)
     return points

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..baselines import build_model
 from ..datasets import ModalityFeatures, MultimodalKG, build_features, get_dataset
-from ..eval import RankingMetrics, evaluate_ranking
+from ..eval import RankingMetrics
 from ..obs import enable_tracing, trace
 from ..train import BundleExport, Callback, EarlyStopping, JsonlTelemetry, TrainReport
 from .scale import Scale
@@ -225,11 +225,10 @@ def train_model(model_name: str, dataset: str, scale: Scale, seed: int = 0,
                              eval_max_queries=scale.eval_max_queries,
                              eval_batch_size=eval_batch_size,
                              callbacks=run_callbacks)
-    metrics = evaluate_ranking(model, mkg.split, part="test",
-                               max_queries=scale.test_max_queries,
-                               rng=np.random.default_rng(3000 + seed),
-                               batch_size=eval_batch_size,
-                               evaluator=trainer.evaluator)
+    metrics = trainer.evaluator.evaluate(model, part="test",
+                                         max_queries=scale.test_max_queries,
+                                         rng=np.random.default_rng(3000 + seed),
+                                         batch_size=eval_batch_size)
     result = RunResult(model_name=model_name, dataset=dataset, model=model,
                        report=report, test_metrics=metrics)
     if cacheable:

@@ -25,19 +25,22 @@ def inference_mode(model):
     Every ``predict_tails``-style inference path must score under
     ``no_grad()`` with dropout and batch-norm switched to eval mode;
     this context manager is the single place that pattern lives so
-    implementations cannot drift.  The previous training/eval mode is
-    restored on exit, even on error.  Objects that are not
-    :class:`Module` (no mode switching) still get the ``no_grad`` part.
+    implementations cannot drift.  A model in training mode is switched
+    to eval mode and back on exit, even on error.  A model already in
+    eval mode (every served model) is left alone: no mode is written,
+    so overlapping inference blocks on other threads cannot flip it,
+    and no module tree is walked.  Objects that are not :class:`Module`
+    (no mode switching) still get the ``no_grad`` part.
     """
     training = getattr(model, "training", False)
-    if hasattr(model, "eval"):
+    if training:
         model.eval()
     try:
         with no_grad():
             yield
     finally:
-        if hasattr(model, "train"):
-            model.train(training)
+        if training:
+            model.train(True)
 
 
 class Module:

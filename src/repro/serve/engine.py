@@ -25,10 +25,11 @@ the query API the serving front ends need:
   entity.  Requests fall back to the exact path (and a fallback
   counter) when no index is attached or the model lacks the hooks.
 
-All model calls run inside ``inference_mode`` (autograd off, dropout and
-batch-norm in eval mode).  The engine is thread-safe: the HTTP front end
-scores from handler threads while the micro-batcher drives it from its
-worker thread.
+The engine puts its model in eval mode once, at construction; every
+model's ``predict_tails`` scores under ``inference_mode``, which leaves
+an eval-mode model's mode untouched.  The engine is thread-safe: the
+HTTP front end scores from handler threads while the micro-batcher
+drives it from its worker thread.
 
 Every counter lives on a :class:`repro.obs.MetricsRegistry` (one per
 engine unless the caller shares one), so the ``/stats`` JSON and the
@@ -50,7 +51,6 @@ import numpy as np
 from ..ann.ivf import topk_indices
 from ..eval.evaluator import CSRFilter, build_csr_filter
 from ..kg import KGSplit, Vocabulary
-from ..nn import inference_mode
 from ..obs import MetricsRegistry, current_span, exponential_buckets, trace
 from .ann import AnnError, AnnServing, supports_ann
 
@@ -72,6 +72,10 @@ class PredictionEngine:
                  ann: AnnServing | None = None,
                  approx_default: bool = False,
                  bundle_version: int | None = None) -> None:
+        # Served models never train: eval mode from construction means no
+        # predict path toggles modes, so overlapping requests cannot flip it.
+        if getattr(model, "training", False):
+            model.eval()
         self.model = model
         self.model_name = model_name
         self.bundle_version = bundle_version
@@ -176,9 +180,6 @@ class PredictionEngine:
 
         bundle = load_bundle(path, strict=strict)
         model = bundle.build_model(strict=strict)
-        # Served models never train: eval mode from load means no predict
-        # path toggles modes, so overlapping requests cannot flip it back.
-        model.eval()
         serving = resolve_ann_policy(bundle, model, ann)
         logger.info("loaded bundle %s (model=%s, entities=%d, relations=%d)",
                     path, bundle.model_name, bundle.split.num_entities,
@@ -346,8 +347,7 @@ class PredictionEngine:
                 mh = np.array([k[0] for k in missing], dtype=np.int64)
                 mr = np.array([k[1] for k in missing], dtype=np.int64)
                 with trace("serve.predict", rows=len(missing)):
-                    with inference_mode(self.model):
-                        fresh = np.asarray(self.model.predict_tails(mh, mr))
+                    fresh = np.asarray(self.model.predict_tails(mh, mr))
                 elapsed = time.perf_counter() - tick
                 self._m_predict_calls.inc()
                 self._m_predict_seconds.observe(elapsed)
@@ -603,8 +603,7 @@ class PredictionEngine:
         rels = rng.integers(0, 2 * self.num_relations, size=num_queries)
         recalls = []
         with self._lock:
-            with inference_mode(self.model):
-                rows = np.asarray(self.model.predict_tails(heads, rels))
+            rows = np.asarray(self.model.predict_tails(heads, rels))
             for head, rel, row in zip(heads, rels, rows):
                 exact = set(topk_indices(row, k).tolist())
                 if not exact:

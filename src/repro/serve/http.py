@@ -467,6 +467,12 @@ class ServeHandler(BaseHTTPRequestHandler):
         self._dispatch("POST")
 
 
+class _Server(ThreadingHTTPServer):
+    # The stdlib listen backlog of 5 resets connections when a burst of
+    # clients connects faster than the accept loop spawns handlers.
+    request_queue_size = 128
+
+
 def make_server(engine: PredictionEngine, batcher: MicroBatcher | None = None,
                 host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
     """Build a ready-to-run threaded server (``port=0`` picks a free port).
@@ -475,7 +481,7 @@ def make_server(engine: PredictionEngine, batcher: MicroBatcher | None = None,
     thread), then ``shutdown()`` + ``server_close()``, and finally
     ``batcher.close()`` if one was attached.
     """
-    server = ThreadingHTTPServer((host, port), ServeHandler)
+    server = _Server((host, port), ServeHandler)
     server.app = ServiceApp(engine, batcher)
     logger.info("serving %s on http://%s:%d", engine.model_name,
                 server.server_address[0], server.server_address[1])

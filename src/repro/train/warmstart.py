@@ -152,14 +152,16 @@ def warm_start(model, split: KGSplit, appended: np.ndarray, *,
     # running statistics instead of updating them, and dropout is off —
     # otherwise BN buffers would drift and the backbone would not be
     # bit-identical after fine-tuning.
+    # A served model is already in eval mode and is left untouched, so a
+    # concurrent scorer never sees its mode flip.
     training = getattr(model, "training", False)
-    if hasattr(model, "eval"):
+    if training:
         model.eval()
     try:
         return engine.fit(epochs, eval_every=None, keep_best=False)
     finally:
-        if hasattr(model, "train"):
-            model.train(training)
+        if training:
+            model.train(True)
 
 
 def export_row_delta(model, old_num_entities: int) -> dict:

@@ -157,19 +157,3 @@ class TestOneToNModels:
         for model in self._models(mkg, feats):
             out = model.predict_tails(np.array([0]), np.array([mkg.num_relations]))
             assert np.isfinite(out).all(), type(model).__name__
-
-
-class TestPredictHeads:
-    def test_head_queries_rank_through_inverse_relations(self, modal_features):
-        for model in _translational_models(modal_features):
-            tails = np.array([1, 4])
-            rels = np.array([0, 2])
-            np.testing.assert_array_equal(
-                model.predict_heads(tails, rels),
-                model.predict_tails(tails, rels + R),
-                err_msg=type(model).__name__)
-
-    def test_inverse_ids_rejected(self, modal_features):
-        model = _translational_models(modal_features)[0]
-        with pytest.raises(ValueError, match="original relation ids"):
-            model.predict_heads(np.array([0]), np.array([R]))

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.eval import (
+    RankingEvaluator,
     RankingMetrics,
-    build_filter,
-    compute_ranks,
+    build_csr_filter,
     evaluate_per_relation_family,
-    evaluate_ranking,
     family_of_triples,
 )
 from repro.kg import KGSplit, KnowledgeGraph, Vocabulary
@@ -22,14 +21,13 @@ class OracleScorer:
     """
 
     def __init__(self, split, num_entities):
-        self.answers = build_filter(split)
+        self.answers = build_csr_filter(split)
         self.num_entities = num_entities
 
     def predict_tails(self, heads, rels):
         scores = np.zeros((len(heads), self.num_entities))
         for i, (h, r) in enumerate(zip(heads, rels)):
-            for target in self.answers.get((int(h), int(r)), []):
-                scores[i, target] = 10.0
+            scores[i, self.answers.row(int(h), int(r))] = 10.0
         return scores
 
 
@@ -76,7 +74,7 @@ class TestFilteredRanking:
     def test_oracle_gets_rank_one(self):
         split = small_split()
         oracle = OracleScorer(split, 10)
-        metrics = evaluate_ranking(oracle, split, part="test")
+        metrics = RankingEvaluator(split).evaluate(oracle, part="test")
         assert metrics.mrr == pytest.approx(100.0)
         assert metrics.hits[1] == pytest.approx(100.0)
 
@@ -84,35 +82,37 @@ class TestFilteredRanking:
         """Tie-breaking must give a constant model the expected mean rank."""
         split = small_split()
         scorer = ConstantScorer(10)
-        ranks = compute_ranks(scorer, split, split.test, both_directions=False)
+        ranks = RankingEvaluator(split).compute_ranks(scorer, split.test,
+                                                      both_directions=False)
         # 10 entities, test query (0, r0, 2): 1 other true tail filtered
         # (train has (0,0,1)) -> 9 candidates all tied -> mean rank (1+9)/2.
         assert ranks[0] == pytest.approx(5.0)
 
     def test_filter_excludes_other_true_tails(self):
         split = small_split()
-        filters = build_filter(split)
+        filters = build_csr_filter(split)
         # (0, r0) has true tails {1, 2} across splits.
-        assert set(filters[(0, 0)].tolist()) == {1, 2}
+        assert set(filters.row(0, 0).tolist()) == {1, 2}
 
     def test_filter_has_inverse_queries(self):
         split = small_split()
-        filters = build_filter(split)
+        filters = build_csr_filter(split)
         # Inverse query for (0,0,1): (1, r0+2) -> head 0.
-        assert 0 in filters[(1, 0 + 2)].tolist()
+        assert 0 in filters.row(1, 0 + 2).tolist()
 
     def test_both_directions_doubles_queries(self):
         split = small_split()
         oracle = OracleScorer(split, 10)
-        one = compute_ranks(oracle, split, split.test, both_directions=False)
-        two = compute_ranks(oracle, split, split.test, both_directions=True)
+        ev = RankingEvaluator(split)
+        one = ev.compute_ranks(oracle, split.test, both_directions=False)
+        two = ev.compute_ranks(oracle, split.test, both_directions=True)
         assert len(two) == 2 * len(one)
 
     def test_max_queries_subsamples(self):
         split = small_split()
         oracle = OracleScorer(split, 10)
-        ranks = compute_ranks(oracle, split, split.train, max_queries=2,
-                              rng=np.random.default_rng(0))
+        ranks = RankingEvaluator(split).compute_ranks(
+            oracle, split.train, max_queries=2, rng=np.random.default_rng(0))
         assert len(ranks) == 4  # 2 queries x 2 directions
 
     def test_filtering_improves_rank(self):
@@ -123,14 +123,13 @@ class TestFilteredRanking:
         class TrueTailScorer:
             def predict_tails(self, heads, rels):
                 scores = np.zeros((len(heads), 10))
-                filters = build_filter(split)
+                filters = build_csr_filter(split)
                 for i, (h, r) in enumerate(zip(heads, rels)):
-                    for t in filters.get((int(h), int(r)), []):
-                        scores[i, t] = 5.0
+                    scores[i, filters.row(int(h), int(r))] = 5.0
                 return scores
 
-        ranks = compute_ranks(TrueTailScorer(), split, split.test,
-                              both_directions=False)
+        ranks = RankingEvaluator(split).compute_ranks(
+            TrueTailScorer(), split.test, both_directions=False)
         assert ranks[0] == pytest.approx(1.0)
 
 

@@ -1,8 +1,8 @@
 """Vectorized evaluator: CSR filter correctness, rank parity, caching.
 
-The parity class is the acceptance proof for the evaluator rewrite: the
-batched CSR path must agree rank-for-rank (mean-rank tie convention
-included) with the per-row reference implementation, on randomized,
+The parity class is the acceptance proof for the evaluator: the batched
+CSR path must agree rank-for-rank (mean-rank tie convention included)
+with the per-row oracle in ``tests/eval/oracle.py``, on randomized,
 constant, and heavily-tied scorers.
 """
 
@@ -14,14 +14,12 @@ from repro.baselines import ConvE, TransE
 from repro.eval import (
     RankingEvaluator,
     build_csr_filter,
-    build_filter,
-    compute_ranks,
-    compute_ranks_reference,
     evaluate_per_relation_family,
-    evaluate_ranking,
 )
 from repro.kg import KGSplit, KnowledgeGraph, Vocabulary
 from repro.train import NegativeSamplingObjective, OneToNObjective, TrainingEngine
+
+from .oracle import build_filter, compute_ranks_reference
 
 
 def random_split(num_entities=40, num_relations=5, n_train=120, n_valid=25,
@@ -116,7 +114,7 @@ class TestCSRFilter:
 
 
 class TestParity:
-    """Vectorized ranks must match the per-row reference exactly."""
+    """Vectorized ranks must match the per-row oracle exactly."""
 
     def assert_parity(self, scorer, split, **kwargs):
         ref = compute_ranks_reference(scorer, split, split.test,
@@ -125,7 +123,7 @@ class TestParity:
         new = ev.compute_ranks(scorer, split.test,
                                rng=np.random.default_rng(7), **kwargs)
         assert ref.shape == new.shape
-        np.testing.assert_allclose(new, ref, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(new, ref)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_scores(self, seed):
@@ -162,21 +160,6 @@ class TestParity:
         for batch_size in (1, 7, 32):
             np.testing.assert_array_equal(
                 ev.compute_ranks(scorer, split.test, batch_size=batch_size), full)
-
-    def test_wrapper_equals_evaluator(self):
-        split = random_split(seed=9)
-        scorer = RandomScorer(split.num_entities, split.num_relations, seed=9)
-        ev = RankingEvaluator(split)
-        via_wrapper = compute_ranks(scorer, split, split.test, evaluator=ev)
-        direct = ev.compute_ranks(scorer, split.test)
-        np.testing.assert_array_equal(via_wrapper, direct)
-
-    def test_float32_fast_path_on_separated_scores(self):
-        split = random_split(seed=10)
-        scorer = RandomScorer(split.num_entities, split.num_relations, seed=10)
-        ref = RankingEvaluator(split).compute_ranks(scorer, split.test)
-        fast = RankingEvaluator(split, score_dtype=np.float32)
-        np.testing.assert_array_equal(fast.compute_ranks(scorer, split.test), ref)
 
 
 class _CountingBuilder:
@@ -239,10 +222,8 @@ class TestEvalBatchSizeKnob:
         split = random_split(seed=15)
         scorer = RandomScorer(split.num_entities, split.num_relations, seed=15)
         ev = RankingEvaluator(split)
-        a = evaluate_ranking(scorer, split, part="test", batch_size=3,
-                             evaluator=ev)
-        b = evaluate_ranking(scorer, split, part="test", batch_size=64,
-                             evaluator=ev)
+        a = ev.evaluate(scorer, part="test", batch_size=3)
+        b = ev.evaluate(scorer, part="test", batch_size=64)
         assert a.mrr == pytest.approx(b.mrr)
         assert a.mr == pytest.approx(b.mr)
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import CamE, CamEConfig
 from repro.datasets import build_features, get_dataset
-from repro.eval import evaluate_ranking
+from repro.eval import RankingEvaluator
 from repro.nn import load_module, save_module
 from repro.train import OneToNObjective, TrainingEngine
 
@@ -37,11 +37,12 @@ class TestEndToEnd:
         mkg, feats = pipeline
         rng = np.random.default_rng(1)
         model = CamE(mkg.num_entities, mkg.num_relations, feats, CFG, rng=rng)
-        before = evaluate_ranking(model, mkg.split, part="valid",
-                                  max_queries=40, rng=np.random.default_rng(2))
+        evaluator = RankingEvaluator(mkg.split)
+        before = evaluator.evaluate(model, part="valid", max_queries=40,
+                                    rng=np.random.default_rng(2))
         train(model, mkg.split, rng, 10)
-        after = evaluate_ranking(model, mkg.split, part="valid",
-                                 max_queries=40, rng=np.random.default_rng(2))
+        after = evaluator.evaluate(model, part="valid", max_queries=40,
+                                   rng=np.random.default_rng(2))
         assert after.mrr > before.mrr
         assert after.mr < before.mr
 
@@ -67,9 +68,9 @@ class TestEndToEnd:
             rng = np.random.default_rng(seed)
             model = CamE(mkg.num_entities, mkg.num_relations, feats, cfg, rng=rng)
             train(model, mkg.split, rng, 15)
-            return evaluate_ranking(model, mkg.split, part="valid",
-                                    max_queries=60,
-                                    rng=np.random.default_rng(3)).mrr
+            return RankingEvaluator(mkg.split).evaluate(
+                model, part="valid", max_queries=60,
+                rng=np.random.default_rng(3)).mrr
 
         full = np.mean([train_and_eval(CFG, s) for s in (1, 2)])
         stripped_cfg = CFG.variant(use_text=False, use_molecule=False)

@@ -5,6 +5,8 @@ import threading
 import numpy as np
 import pytest
 
+from repro.baselines import build_model
+from repro.datasets import build_features, get_dataset
 from repro.eval import build_csr_filter
 from repro.nn import inference_mode
 from repro.serve import PredictionEngine, topk_indices
@@ -208,6 +210,28 @@ class TestCache:
         assert stats["hit_rate"] == pytest.approx(2 / 3, abs=1e-4)
         assert gauge.value == pytest.approx(stats["hit_rate"], abs=1e-4)
 
+    def test_score_on_a_cached_key_is_a_lookup_not_a_served_query(
+            self, engine, prepared):
+        """``queries_served`` counts rows the ranking path served;
+        ``/score`` on a cached key is one more cache lookup (a hit), and
+        a ``/score`` miss is a scored cell."""
+        mkg, _ = prepared
+        h, r, t = (int(v) for v in mkg.split.test[0])
+        engine.top_k_tails(h, r, k=3)
+        engine.score_triples(np.array([[h, r, t]]))
+        stats = engine.stats()
+        assert stats["queries_served"] == 1
+        assert stats["cache"]["lookups"] == 2
+        assert stats["cache"]["hits"] == 1
+        assert stats["cells_scored"] == 0
+        other = next(row for row in mkg.split.test.tolist()
+                     if (row[0], row[1]) != (h, r))
+        engine.score_triples(np.array([other]))
+        stats = engine.stats()
+        assert stats["queries_served"] == 1
+        assert stats["cells_scored"] == 1
+        assert stats["cache"]["lookups"] == 3
+
     def test_cached_row_is_not_aliased(self, engine, transe):
         ids, scores = engine.top_k_tails(5, 0, k=3, filter_known=False)
         # Mutating a filtered copy must not corrupt later unfiltered reads.
@@ -225,11 +249,21 @@ class TestBundleConstruction:
         row = transe.predict_tails(np.array([0]), np.array([0]))[0]
         np.testing.assert_array_equal(scores, row[ids])
 
+    @pytest.mark.parametrize("source", ["bundle", "direct"])
     def test_model_stays_in_eval_mode_across_overlapping_inference(
-            self, transe_bundle):
+            self, source, transe_bundle, prepared):
         """Thread A leaves its inference block while thread B is still
-        inside its own: B must keep scoring in eval mode."""
-        model = PredictionEngine.from_bundle(transe_bundle).model
+        inside its own: B must keep scoring in eval mode, whether the
+        engine loaded the model from a bundle or was handed a model
+        fresh from its builder (still in training mode)."""
+        if source == "bundle":
+            model = PredictionEngine.from_bundle(transe_bundle).model
+        else:
+            mkg, feats = prepared
+            model, _ = build_model("TransE", mkg, feats,
+                                   np.random.default_rng(1), dim=16)
+            assert model.training is True
+            PredictionEngine(model, mkg.split)
         a_inside, a_leave, b_inside, b_check = (threading.Event()
                                                 for _ in range(4))
         seen = {}
@@ -258,3 +292,34 @@ class TestBundleConstruction:
         assert not any(thread.is_alive() for thread in threads)
         assert seen == {"training": False}
         assert model.training is False
+
+
+class TestBatchComposition:
+    """A row's scores depend on its batch only within a stated bound.
+
+    Batched matrix products may round differently for different batch
+    heights, so the same ``(h, r)`` row scored alone and inside a
+    64-key batch need not be bit-identical.  The row cache keeps
+    whichever came first; DESIGN.md states the bound this pins.
+    """
+
+    @pytest.fixture(scope="class")
+    def came(self):
+        # The benchmark-sized CamE (perfbench/workloads.py constants).
+        mkg = get_dataset("drkg-mm", scale=1.0, seed=0)
+        feats = build_features(mkg, np.random.default_rng(1), d_m=24, d_t=24,
+                               d_s=24, gin_epochs=2, compgcn_epochs=2)
+        model, _ = build_model("CamE", mkg, feats, np.random.default_rng(2),
+                               dim=48)
+        return mkg, model
+
+    def test_row_alone_matches_row_in_batch_within_bound(self, came):
+        mkg, model = came
+        rng = np.random.default_rng(3)
+        heads = rng.integers(0, mkg.num_entities, 64)
+        rels = rng.integers(0, 2 * mkg.num_relations, 64)
+        engine = PredictionEngine(model, mkg.split, cache_size=0)
+        batched = engine.scores(heads, rels)
+        alone = np.concatenate([engine.scores(heads[i:i + 1], rels[i:i + 1])
+                                for i in range(64)])
+        np.testing.assert_allclose(alone, batched, rtol=0, atol=1e-12)

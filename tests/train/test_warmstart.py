@@ -1,6 +1,7 @@
 """Warm-start fine-tuning: frozen backbone, trained new rows, row deltas."""
 
 import copy
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.baselines import build_model
 from repro.datasets import DRKGConfig, build_features, generate_drkg_mm
 from repro.nn import Parameter
+from repro.serve import PredictionEngine
 from repro.stream import apply_append_to_model
 from repro.train import (
     FrozenRowsAdam,
@@ -76,6 +78,37 @@ class TestWarmStart:
         assert not np.array_equal(model.entity_embedding.weight.data[old:],
                                   new_rows)
         assert model.training  # mode restored
+
+    def test_served_model_stays_in_eval_mode_while_warm_starting(
+            self, base, monkeypatch):
+        """The engine scores while a warm start on its model is paused
+        inside a training step: neither side flips the served model's
+        mode, before, during or after."""
+        mkg, model, old, delta = grown(base, "CamE")
+        engine = PredictionEngine(model, mkg.split, cache_size=0)
+        in_step, scored = threading.Event(), threading.Event()
+        loss = WarmStartObjective.loss
+
+        def paused_loss(objective, model_, batch):
+            in_step.set()
+            scored.wait(10)
+            return loss(objective, model_, batch)
+
+        monkeypatch.setattr(WarmStartObjective, "loss", paused_loss)
+        thread = threading.Thread(target=warm_start, args=(
+            model, mkg.split, delta.triples),
+            kwargs=dict(old_num_entities=old, epochs=1,
+                        rng=np.random.default_rng(7)))
+        thread.start()
+        assert in_step.wait(10)
+        seen = [model.training]
+        engine.scores([0], [0])
+        seen.append(model.training)
+        scored.set()
+        thread.join(30)
+        assert not thread.is_alive()
+        assert seen == [False, False]
+        assert model.training is False
 
     def test_objective_requires_applied_append(self, base):
         mkg, model, old, delta = grown(base, "TransE")
